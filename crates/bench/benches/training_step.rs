@@ -1,6 +1,6 @@
 //! End-to-end benchmarks of the executable training substrate: full
 //! train-step iterations (FP32, mixed precision, checkpointed), optimizer
-//! steps, and the threaded Ring AllReduce.
+//! steps, and the loopback socket Ring AllReduce.
 
 use bertscope_dist::ring_allreduce;
 use bertscope_model::{BertConfig, Precision};

@@ -21,12 +21,12 @@
 //! - `--trace-dir DIR`: dump per-rank operator traces from the smallest
 //!   training cluster into `DIR/rank{N}.trace` for `racecheck --trace`.
 
-use bertscope_dist::proc::ring::form_ring;
-use bertscope_dist::{run_thread_cluster, ClusterConfig, LinkModel, LinkSample, RingConfig};
+use bertscope_dist::{
+    run_local_ring, run_thread_cluster, ClusterConfig, LinkModel, LinkSample, RingConfig,
+};
 use bertscope_model::BertConfig;
 use bertscope_train::{Bert, TrainOptions};
 use std::fmt::Write as _;
-use std::net::TcpListener;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -48,39 +48,18 @@ fn measure_allreduce(world: usize, elems: usize, iters: u32) -> u64 {
         backoff: Duration::from_millis(5),
         ..RingConfig::default()
     };
-    let listeners: Vec<TcpListener> =
-        (0..world).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
-    let ports: Vec<u16> = listeners.iter().map(|l| l.local_addr().expect("addr").port()).collect();
-    let mut best = u64::MAX;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = listeners
-            .iter()
-            .enumerate()
-            .map(|(rank, listener)| {
-                let ports = ports.clone();
-                let cfg = &cfg;
-                s.spawn(move || {
-                    let mut ring = form_ring(listener, &ports, rank, 1, cfg).expect("form ring");
-                    #[allow(clippy::cast_precision_loss)]
-                    let mut buf: Vec<f32> =
-                        (0..elems).map(|i| (i as f32).mul_add(1e-3, rank as f32)).collect();
-                    let mut times = Vec::with_capacity(iters as usize);
-                    for _ in 0..iters {
-                        let stats = ring.allreduce(&mut buf).expect("allreduce");
-                        times.push(stats.elapsed_us);
-                    }
-                    times
-                })
-            })
-            .collect();
-        let per_rank: Vec<Vec<u64>> =
-            handles.into_iter().map(|h| h.join().expect("rank thread")).collect();
-        for i in 0..iters as usize {
-            let collective = per_rank.iter().map(|t| t[i]).max().unwrap_or(0);
-            best = best.min(collective);
-        }
-    });
-    best
+    let per_rank = run_local_ring(world, &cfg, |rank, ring| {
+        #[allow(clippy::cast_precision_loss)]
+        let mut buf: Vec<f32> = (0..elems).map(|i| (i as f32).mul_add(1e-3, rank as f32)).collect();
+        (0..iters)
+            .map(|_| Ok(ring.allreduce(&mut buf)?.elapsed_us))
+            .collect::<Result<Vec<u64>, _>>()
+    })
+    .expect("allreduce");
+    (0..iters as usize)
+        .map(|i| per_rank.iter().map(|t| t[i]).max().unwrap_or(0))
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// Total gradient bytes one training AllReduce moves for the tiny config

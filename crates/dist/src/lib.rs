@@ -1,7 +1,5 @@
 //! Multi-device training models for the bertscope suite (paper §5).
 //!
-//! * [`allreduce`] — a real, multi-threaded Ring AllReduce implementation
-//!   that grounds the analytic communication model;
 //! * [`dp`] — data parallelism with and without compute/communication
 //!   overlap (paper configurations D1/D2);
 //! * [`ts`] — Megatron-style tensor slicing: the per-device graph transform
@@ -14,10 +12,11 @@
 //!   AllReduce timings, bridging the socket runtime back to the analytic
 //!   [`Link`](bertscope_device::Link) model;
 //! * [`proc`] — a real multi-process elastic data-parallel runtime:
-//!   socket ring AllReduce, supervised membership, fault injection and
+//!   the socket ring AllReduce that grounds the analytic communication
+//!   model (also runnable in-process over loopback, with injected ring
+//!   faults), supervised membership, fault injection and
 //!   checkpoint/elastic recovery.
 
-pub mod allreduce;
 pub mod dp;
 pub mod hybrid;
 pub mod linkmodel;
@@ -25,13 +24,12 @@ pub mod proc;
 pub mod ts;
 pub mod zero;
 
-pub use allreduce::{
-    ring_allreduce, ring_allreduce_faulty, ring_allreduce_mean, ring_allreduce_with,
-    AllReduceError, AllReduceStats, RingConfig,
-};
 pub use dp::data_parallel_profile;
 pub use hybrid::{hybrid_profile, HybridPlan};
 pub use linkmodel::{LinkModel, LinkSample};
+pub use proc::ring::{
+    ring_allreduce, ring_allreduce_faulty, ring_allreduce_mean, run_local_ring, RingConfig,
+};
 pub use proc::{
     run_process_cluster, run_thread_cluster, ClusterConfig, ClusterReport, DegradationEvent,
     DistError, RecoveryMode, SocketRing, WorkerConfig, WorkerReport,

@@ -4,8 +4,8 @@
 //! The paper's §5.1 scaling analysis charges communication with an
 //! analytic `steps·α + volume/BW` cost (the [`Link`] model in
 //! `bertscope-device`). This module goes the other direction: given
-//! *measured* ring-AllReduce timings from the multi-process runtime
-//! ([`crate::proc`]) or the threaded ring, it least-squares fits the latency
+//! *measured* ring-AllReduce timings from the socket ring
+//! ([`crate::proc`]), it least-squares fits the latency
 //! term α (µs per pipeline hop) and the inverse-bandwidth term β (µs per
 //! byte on the wire), producing a [`LinkModel`] that predicts step time for
 //! unseen payload sizes and world sizes — and that converts back into a

@@ -160,6 +160,9 @@ impl ControlMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bertscope_tensor::FaultPlan;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn every_message_roundtrips() {
@@ -198,5 +201,47 @@ mod tests {
             reason: "hop at ring step 3 failed after 4 attempts".into(),
         };
         assert_eq!(ControlMsg::from_line(&m.to_line()).expect("parse"), m);
+    }
+
+    /// Strings mixing protocol tokens with arbitrary characters, so the
+    /// fuzz reaches past the verb check into the field parsers.
+    fn fuzz_text() -> impl Strategy<Value = String> {
+        let tokens: Vec<&str> = "hello members syncfail done ckpt pdrop pcorrupt kill corrupt nan \
+                                 0 7 -1 65536 4294967297 18446744073709551616 : ; ,"
+            .split(' ')
+            .chain([" ", "\n"])
+            .collect();
+        let part = (0..tokens.len() + 1, 0u32..0x11_0000);
+        collection::vec(part, 0..12).prop_map(move |parts| {
+            let mut text = String::new();
+            for (t, c) in parts {
+                match tokens.get(t) {
+                    Some(tok) => text.push_str(tok),
+                    None => text.push(char::from_u32(c).unwrap_or('\u{fffd}')),
+                }
+            }
+            text
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The supervisor and workers parse each other's lines: any input
+        /// is a message or a structured error, never a panic.
+        #[test]
+        fn control_lines_never_panic(line in fuzz_text()) {
+            if let Ok(msg) = ControlMsg::from_line(&line) {
+                prop_assert!(!msg.to_line().is_empty());
+            }
+        }
+
+        /// Workers parse the fault spec their launcher hands them.
+        #[test]
+        fn fault_specs_never_panic(spec in fuzz_text()) {
+            if let Ok(plan) = FaultPlan::from_spec(&spec) {
+                prop_assert_eq!(FaultPlan::from_spec(&plan.to_spec()), Ok(plan));
+            }
+        }
     }
 }

@@ -1,14 +1,13 @@
 //! `dist::proc` — a real multi-process elastic data-parallel runtime.
 //!
-//! Everything below the analytic models in this crate runs inside one
-//! process; this module is the step beyond: N *rank* workers (OS threads
-//! for cheap tests, or genuinely separate processes re-exec'd from the
-//! same binary) each train a full replica on the `bertscope-train`
-//! substrate and exchange gradients over local TCP sockets via a
-//! bucketed ring AllReduce. A supervisor process holds the control
-//! plane: it launches ranks, distributes ring membership, listens to
-//! heartbeats, and when a rank dies mid-step drives one of two recovery
-//! modes:
+//! The rest of this crate is analytic; this module is the step beyond:
+//! N *rank* workers (OS threads for cheap tests, or genuinely separate
+//! processes re-exec'd from the same binary) each train a full replica
+//! on the `bertscope-train` substrate and exchange gradients over local
+//! TCP sockets via a bucketed ring AllReduce. A supervisor process holds
+//! the control plane: it launches ranks, distributes ring membership,
+//! listens to heartbeats, and when a rank dies mid-step drives one of two
+//! recovery modes:
 //!
 //! * **restart** — every rank is shut down and relaunched from the last
 //!   bit-exact [`TrainCheckpoint`](bertscope_train::TrainCheckpoint);
@@ -29,7 +28,8 @@
 //!   over TCP, with deterministic socket-fault injection (drop / delay /
 //!   corrupt) from the shared [`FaultPlan`](bertscope_tensor::FaultPlan);
 //! * [`ring`] — the socket ring AllReduce (bit-exact against a serial
-//!   reference simulation) plus epoch-tagged ring formation;
+//!   reference simulation), epoch-tagged ring formation and the
+//!   in-process loopback runner [`ring::run_local_ring`];
 //! * [`control`] — the supervisor<->worker message vocabulary;
 //! * [`worker`] — the per-rank training loop and its `GradSync` bridge
 //!   into the trainer;

@@ -17,8 +17,8 @@
 //! caller-supplied launcher (used by the process-isolation tests and
 //! `bench_dist`). The control protocol is identical either way.
 
-use crate::allreduce::RingConfig;
 use crate::proc::control::ControlMsg;
+use crate::proc::ring::RingConfig;
 use crate::proc::worker::{worker_main, WorkerConfig, WorkerReport};
 use crate::proc::DistError;
 use bertscope_tensor::FaultPlan;
@@ -192,7 +192,7 @@ pub fn run_process_cluster(
     supervise(cfg, Backend::Process(spawner))
 }
 
-fn worker_config(
+pub(super) fn worker_config(
     cfg: &ClusterConfig,
     rank: usize,
     supervisor: &str,

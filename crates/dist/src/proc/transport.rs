@@ -19,7 +19,7 @@
 //! [`TransportStats`], while a genuinely dead peer degrades into a
 //! structured [`DistError`] within the configured deadline.
 
-use crate::allreduce::RingConfig;
+use crate::proc::ring::RingConfig;
 use crate::proc::DistError;
 use bertscope_tensor::bucket::checksum64;
 use std::io::{Read, Write};
@@ -48,14 +48,6 @@ pub struct SocketFaults {
     pub corrupt_sends: u32,
     /// Sleep this long before every DATA write (a congested link).
     pub delay_send_micros: u64,
-}
-
-impl SocketFaults {
-    /// Whether any fault is still armed.
-    #[must_use]
-    pub fn armed(&self) -> bool {
-        self.drop_sends > 0 || self.corrupt_sends > 0 || self.delay_send_micros > 0
-    }
 }
 
 /// Counters of the reliability machinery's activity.
@@ -136,7 +128,7 @@ struct Frame {
     payload: Vec<u8>,
 }
 
-fn read_exact_timeout(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), DistError> {
+fn read_exact_timeout(mut stream: impl Read, buf: &mut [u8]) -> Result<(), DistError> {
     stream.read_exact(buf).map_err(|e| match e.kind() {
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
             DistError::Timeout { what: "frame from ring peer".into() }
@@ -146,9 +138,9 @@ fn read_exact_timeout(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), Dist
     })
 }
 
-fn read_frame(stream: &mut TcpStream) -> Result<Frame, DistError> {
+fn read_frame(mut stream: impl Read) -> Result<Frame, DistError> {
     let mut head = [0u8; 21];
-    read_exact_timeout(stream, &mut head)?;
+    read_exact_timeout(&mut stream, &mut head)?;
     let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
     if len > MAX_PAYLOAD {
         return Err(DistError::Protocol(format!("frame advertises {len} bytes")));
@@ -157,7 +149,7 @@ fn read_frame(stream: &mut TcpStream) -> Result<Frame, DistError> {
     let seq = u64::from_le_bytes(head[5..13].try_into().expect("8 bytes"));
     let crc = u64::from_le_bytes(head[13..21].try_into().expect("8 bytes"));
     let mut payload = vec![0u8; len as usize];
-    read_exact_timeout(stream, &mut payload)?;
+    read_exact_timeout(&mut stream, &mut payload)?;
     Ok(Frame { tag, seq, crc, payload })
 }
 
@@ -338,6 +330,9 @@ impl FrameConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bertscope_tensor::bucket::{decode_f32s, encode_f32s};
+    use proptest::collection;
+    use proptest::prelude::*;
     use std::net::TcpListener;
     use std::thread;
 
@@ -434,5 +429,38 @@ mod tests {
         let err = a.recv_data().expect_err("peer is gone");
         assert!(matches!(err, DistError::Io(_)), "{err}");
         assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Any byte stream decodes into a frame or a structured error.
+        /// Half the inputs carry a small length prefix so the payload
+        /// path is reached, not only the header checks.
+        #[test]
+        fn read_frame_never_panics(
+            mut bytes in collection::vec(0u8..=255, 0..96),
+            small_len in 0u32..64,
+            framed in 0u8..2,
+        ) {
+            if framed == 1 {
+                let n = bytes.len().min(4);
+                bytes.splice(0..n, small_len.to_le_bytes());
+            }
+            if let Ok(frame) = read_frame(&mut bytes.as_slice()) {
+                let advertised = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
+                prop_assert_eq!(frame.payload.len(), advertised as usize);
+            }
+        }
+
+        /// Hop payloads decode into f32s or a structured error, and a
+        /// successful decode round-trips bit for bit.
+        #[test]
+        fn decode_f32s_never_panics(bytes in collection::vec(0u8..=255, 0..64)) {
+            match decode_f32s(&bytes) {
+                Ok(values) => prop_assert_eq!(encode_f32s(&values), bytes),
+                Err(_) => prop_assert!(bytes.len() % 4 != 0),
+            }
+        }
     }
 }

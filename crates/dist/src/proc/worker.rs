@@ -18,8 +18,8 @@
 //! the preserved window) or a shutdown (restart recovery: exit, be
 //! relaunched from the last checkpoint).
 
-use crate::allreduce::RingConfig;
 use crate::proc::control::ControlMsg;
+use crate::proc::ring::RingConfig;
 use crate::proc::ring::{form_ring, RingStats, SocketRing};
 use crate::proc::transport::SocketFaults;
 use crate::proc::DistError;
@@ -145,12 +145,17 @@ impl WorkerConfig {
     /// Returns a protocol error naming the first missing or malformed
     /// variable.
     pub fn from_env() -> Result<WorkerConfig, DistError> {
+        WorkerConfig::from_vars(|k| std::env::var(k).ok())
+    }
+
+    /// [`WorkerConfig::from_env`] over an arbitrary variable lookup.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<WorkerConfig, DistError> {
+        let bad = |k: &str| DistError::Protocol(format!("bad env {k}"));
         let get = |k: &str| -> Result<String, DistError> {
-            std::env::var(k).map_err(|_| DistError::Protocol(format!("missing env {k}")))
+            var(k).ok_or_else(|| DistError::Protocol(format!("missing env {k}")))
         };
-        let num = |k: &str| -> Result<u64, DistError> {
-            get(k)?.parse::<u64>().map_err(|_| DistError::Protocol(format!("bad env {k}")))
-        };
+        let num =
+            |k: &str| -> Result<u64, DistError> { get(k)?.parse::<u64>().map_err(|_| bad(k)) };
         Ok(WorkerConfig {
             orig_rank: num(ENV_RANK)? as usize,
             world: num(ENV_WORLD)? as usize,
@@ -158,21 +163,23 @@ impl WorkerConfig {
             seed: num(ENV_SEED)?,
             total_updates: num(ENV_UPDATES)?,
             accumulation: num(ENV_ACCUM)? as usize,
-            overlap: std::env::var(ENV_OVERLAP).is_ok_and(|v| v == "1"),
-            fault_spec: std::env::var(ENV_FAULTS).unwrap_or_default(),
+            overlap: var(ENV_OVERLAP).is_some_and(|v| v == "1"),
+            fault_spec: var(ENV_FAULTS).unwrap_or_default(),
             ring: RingConfig {
                 timeout: Duration::from_millis(num(ENV_TIMEOUT_MS)?),
-                max_retries: u32::try_from(num(ENV_RETRIES)?)
-                    .map_err(|_| DistError::Protocol(format!("bad env {ENV_RETRIES}")))?,
+                max_retries: u32::try_from(num(ENV_RETRIES)?).map_err(|_| bad(ENV_RETRIES))?,
                 backoff: Duration::from_millis(num(ENV_BACKOFF_MS)?),
-                bucket_elems: num(ENV_BUCKET)? as usize,
-                ..RingConfig::default()
+                // `plan_buckets` rejects an empty bucket.
+                bucket_elems: match num(ENV_BUCKET)? {
+                    0 => return Err(bad(ENV_BUCKET)),
+                    n => n as usize,
+                },
             },
             ckpt_dir: PathBuf::from(get(ENV_CKPT_DIR)?),
-            resume_from: std::env::var(ENV_RESUME).ok().map(PathBuf::from),
+            resume_from: var(ENV_RESUME).map(PathBuf::from),
             heartbeat: Duration::from_millis(num(ENV_HEARTBEAT_MS)?),
             control_timeout: Duration::from_millis(num(ENV_CONTROL_TIMEOUT_MS)?),
-            trace_out: std::env::var(ENV_TRACE_OUT).ok().map(PathBuf::from),
+            trace_out: var(ENV_TRACE_OUT).map(PathBuf::from),
             process_backend: true,
         })
     }
@@ -803,4 +810,32 @@ fn on_update(
         )?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proc::supervisor::{worker_config, ClusterConfig};
+    use std::collections::HashMap;
+
+    /// Parse a launcher-rendered environment with `key` overridden.
+    fn parse_with(key: &str, value: &str) -> Result<WorkerConfig, DistError> {
+        let cluster = ClusterConfig::new(2, 3, PathBuf::from("ckpt"));
+        let wcfg = worker_config(&cluster, 1, "127.0.0.1:1", "pdrop:1:0:2", None, true);
+        let mut env: HashMap<String, String> = wcfg.to_env().into_iter().collect();
+        env.insert(key.into(), value.into());
+        WorkerConfig::from_vars(|k| env.get(k).cloned())
+    }
+
+    #[test]
+    fn env_roundtrips_and_rejects_an_empty_bucket() {
+        let cfg = parse_with(ENV_BUCKET, "64").expect("valid env");
+        assert_eq!((cfg.orig_rank, cfg.world, cfg.ring.bucket_elems), (1, 2, 64));
+        assert_eq!(
+            (cfg.fault_spec.as_str(), cfg.ring.timeout),
+            ("pdrop:1:0:2", Duration::from_secs(5))
+        );
+        let err = parse_with(ENV_BUCKET, "0").expect_err("empty bucket");
+        assert!(matches!(err, DistError::Protocol(ref m) if m.contains(ENV_BUCKET)), "{err}");
+    }
 }

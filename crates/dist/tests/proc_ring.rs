@@ -2,10 +2,9 @@
 //! sockets — bit-exact against the serial reference simulation, with and
 //! without injected socket faults.
 
-use bertscope_dist::proc::ring::{form_ring, reference_allreduce, RingStats};
+use bertscope_dist::proc::ring::{reference_allreduce, run_local_ring, RingStats};
 use bertscope_dist::proc::transport::SocketFaults;
 use bertscope_dist::RingConfig;
-use std::net::TcpListener;
 use std::time::Duration;
 
 fn test_cfg(bucket_elems: usize) -> RingConfig {
@@ -14,7 +13,6 @@ fn test_cfg(bucket_elems: usize) -> RingConfig {
         max_retries: 4,
         backoff: Duration::from_millis(5),
         bucket_elems,
-        ..RingConfig::default()
     }
 }
 
@@ -29,49 +27,25 @@ fn payload(rank: usize, elems: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Run a `world`-rank socket ring over loopback TCP, one OS thread per
-/// rank, each forming its side of the ring and reducing its payload.
-/// `faults` are armed on rank 0 before the collective.
+/// Run a `world`-rank socket ring over loopback TCP, each rank reducing
+/// its payload. `faults` are armed on rank 0 before the collective.
 fn run_socket_ring(
     world: usize,
     elems: usize,
     cfg: &RingConfig,
     faults: SocketFaults,
 ) -> (Vec<Vec<f32>>, Vec<RingStats>) {
-    let listeners: Vec<TcpListener> =
-        (0..world).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
-    let ports: Vec<u16> = listeners.iter().map(|l| l.local_addr().expect("addr").port()).collect();
-
-    let mut results: Vec<Option<(Vec<f32>, RingStats)>> = (0..world).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = listeners
-            .iter()
-            .enumerate()
-            .map(|(rank, listener)| {
-                let ports = ports.clone();
-                s.spawn(move || {
-                    let mut ring =
-                        form_ring(listener, &ports, rank, 1, cfg).expect("ring must form");
-                    if rank == 0 {
-                        ring.arm_faults(faults);
-                    }
-                    let mut buf = payload(rank, elems);
-                    let stats = ring.allreduce(&mut buf).expect("allreduce");
-                    (buf, stats)
-                })
-            })
-            .collect();
-        for (rank, h) in handles.into_iter().enumerate() {
-            results[rank] = Some(h.join().expect("rank thread"));
+    run_local_ring(world, cfg, |rank, ring| {
+        if rank == 0 {
+            ring.arm_faults(faults);
         }
-    });
-    let mut bufs = Vec::new();
-    let mut stats = Vec::new();
-    for r in results.into_iter().flatten() {
-        bufs.push(r.0);
-        stats.push(r.1);
-    }
-    (bufs, stats)
+        let mut buf = payload(rank, elems);
+        let stats = ring.allreduce(&mut buf)?;
+        Ok((buf, stats))
+    })
+    .expect("socket ring")
+    .into_iter()
+    .unzip()
 }
 
 fn reference(world: usize, elems: usize, bucket_elems: usize) -> Vec<Vec<f32>> {
@@ -95,9 +69,11 @@ fn assert_bitwise(got: &[Vec<f32>], want: &[Vec<f32>]) {
 
 #[test]
 fn socket_ring_matches_reference_bitwise() {
-    for world in [2, 3, 4] {
+    // 257: not divisible by world or bucket, exercising remainders; 37
+    // fits one bucket, so each rank's chunk spans the whole buffer.
+    let cases = [(2, 257), (3, 257), (4, 257), (2, 37), (3, 37), (4, 37), (8, 37)];
+    for (world, elems) in cases {
         let cfg = test_cfg(64);
-        let elems = 257; // not divisible by world or bucket: exercises remainders
         let (bufs, stats) = run_socket_ring(world, elems, &cfg, SocketFaults::default());
         assert_bitwise(&bufs, &reference(world, elems, cfg.bucket_elems));
         for st in &stats {
@@ -147,28 +123,21 @@ fn delayed_sender_slows_but_does_not_break_the_ring() {
 fn consecutive_collectives_reuse_the_ring() {
     let world = 3;
     let cfg = test_cfg(128);
-    let listeners: Vec<TcpListener> =
-        (0..world).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
-    let ports: Vec<u16> = listeners.iter().map(|l| l.local_addr().expect("addr").port()).collect();
     let mut expected1: Vec<Vec<f32>> = (0..world).map(|r| payload(r, 90)).collect();
     reference_allreduce(&mut expected1, cfg.bucket_elems);
     let mut expected2: Vec<Vec<f32>> = expected1.clone();
     reference_allreduce(&mut expected2, cfg.bucket_elems);
 
-    std::thread::scope(|s| {
-        for (rank, listener) in listeners.iter().enumerate() {
-            let ports = ports.clone();
-            let cfg = &cfg;
-            let want1 = expected1[rank].clone();
-            let want2 = expected2[rank].clone();
-            s.spawn(move || {
-                let mut ring = form_ring(listener, &ports, rank, 1, cfg).expect("form");
-                let mut buf = payload(rank, 90);
-                ring.allreduce(&mut buf).expect("first collective");
-                assert_eq!(buf, want1, "rank {rank} first collective");
-                ring.allreduce(&mut buf).expect("second collective");
-                assert_eq!(buf, want2, "rank {rank} second collective");
-            });
-        }
-    });
+    let got = run_local_ring(world, &cfg, |rank, ring| {
+        let mut buf = payload(rank, 90);
+        ring.allreduce(&mut buf)?;
+        let first = buf.clone();
+        ring.allreduce(&mut buf)?;
+        Ok((first, buf))
+    })
+    .expect("two collectives on one ring");
+    for (rank, (first, second)) in got.iter().enumerate() {
+        assert_eq!(first, &expected1[rank], "rank {rank} first collective");
+        assert_eq!(second, &expected2[rank], "rank {rank} second collective");
+    }
 }

@@ -90,8 +90,9 @@ impl FaultKind {
         matches!(self, FaultKind::NanGradient { .. } | FaultKind::InfGradient { .. })
     }
 
-    /// Whether this fault targets the in-process AllReduce ring (consumed
-    /// by `dist::ring_allreduce_faulty`).
+    /// Whether this fault targets one rank of a ring collective (consumed
+    /// by `dist::ring_allreduce_faulty`, which kills, delays or poisons
+    /// that rank on the loopback socket ring).
     #[must_use]
     pub fn is_ring_fault(&self) -> bool {
         matches!(
@@ -261,6 +262,10 @@ impl FaultPlan {
                     .parse::<u64>()
                     .map_err(|_| format!("fault entry `{entry}`: bad number in field {i}"))
             };
+            let count = |i: usize| -> Result<u32, String> {
+                u32::try_from(num(i)?)
+                    .map_err(|_| format!("fault entry `{entry}`: count in field {i} exceeds u32"))
+            };
             let step = num(1)?;
             let arity = |want: usize| -> Result<(), String> {
                 if parts.len() == want {
@@ -296,7 +301,7 @@ impl FaultPlan {
                 }
                 Some("pdrop") => {
                     arity(4)?;
-                    FaultKind::DropSend { rank: num(2)? as usize, count: num(3)? as u32 }
+                    FaultKind::DropSend { rank: num(2)? as usize, count: count(3)? }
                 }
                 Some("pdelay") => {
                     arity(4)?;
@@ -304,7 +309,7 @@ impl FaultPlan {
                 }
                 Some("pcorrupt") => {
                     arity(4)?;
-                    FaultKind::CorruptPayload { rank: num(2)? as usize, count: num(3)? as u32 }
+                    FaultKind::CorruptPayload { rank: num(2)? as usize, count: count(3)? }
                 }
                 other => return Err(format!("unknown fault kind {other:?} in `{entry}`")),
             };
@@ -388,6 +393,7 @@ mod tests {
         assert!(FaultPlan::from_spec("pkill:notanumber:0").is_err());
         assert!(FaultPlan::from_spec("pdrop:1:0").is_err(), "missing count field");
         assert!(FaultPlan::from_spec("kill:1:0:9").is_err(), "extra field");
+        assert!(FaultPlan::from_spec("pdrop:1:0:4294967297").is_err(), "count overflows u32");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! same overflow-skip decision and the replicas stay in lockstep without a
 //! separate agreement round.
 //!
-//! The trait is deliberately tiny so both the in-process threaded ring and
-//! the multi-process socket ring (`bertscope-dist`) plug in, and so tests
+//! The trait is deliberately tiny so the socket ring (`bertscope-dist`)
+//! plugs in, in-process or across processes, and so tests
 //! can substitute arbitrary behaviours (including failures: a failed sync
 //! leaves the window's sums intact, making
 //! [`Trainer::close_window`](crate::Trainer::close_window) retryable after

@@ -2,8 +2,8 @@
 //! slicing for BERT-Large across device counts and interconnects —
 //! the paper's §5 analysis as a reusable tool.
 //!
-//! Also demonstrates the real threaded Ring AllReduce that grounds the
-//! communication model.
+//! Also runs the real socket Ring AllReduce (over loopback, one thread per
+//! worker) that grounds the communication model.
 //!
 //! Run with: `cargo run --release --example distributed_planner`
 
@@ -53,7 +53,7 @@ fn main() {
          on the fastest fabric available, data-parallel across nodes with overlap.\n"
     );
 
-    // Ground the model: run the real threaded Ring AllReduce on a
+    // Ground the model: run the real socket Ring AllReduce on a
     // BERT-layer-sized gradient and compare measured traffic to the model.
     println!("Grounding the comm model with the real Ring AllReduce (4 workers, 12.6M floats):");
     let devices = 4;
@@ -65,10 +65,11 @@ fn main() {
     let expected = buffers[0][0];
     println!(
         "  reduced in {:?}; every element = {expected} (sum of 1..={devices}); \
-         {} steps, {:.1} MB sent per worker",
+         {} steps per bucket x {} buckets, {:.1} MB sent per worker",
         elapsed,
-        stats.steps,
-        stats.bytes_sent_per_device as f64 / 1.0e6
+        stats.steps_per_bucket,
+        stats.buckets,
+        stats.bytes_sent as f64 / 1.0e6
     );
     let analytic = 2.0 * (devices as f64 - 1.0) / devices as f64 * (len * 4) as f64;
     println!(

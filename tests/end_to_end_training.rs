@@ -116,7 +116,7 @@ fn checkpointed_training_matches_plain_training_over_steps() {
 #[test]
 fn data_parallel_replicas_stay_synchronized_through_real_allreduce() {
     // Two model replicas on disjoint batches; gradients averaged with the
-    // threaded Ring AllReduce; parameters must remain identical and match a
+    // socket Ring AllReduce; parameters must remain identical and match a
     // single-model run on the concatenated batch (up to fp error).
     let cfg = small_cfg();
     let corpus = SyntheticCorpus::new(cfg.vocab);

@@ -67,14 +67,14 @@ fn injected_inf_gradient_skips_the_step_and_training_recovers() {
 
 #[test]
 fn killed_allreduce_rank_fails_fast_instead_of_hanging() {
-    use bertscope_dist::{ring_allreduce_faulty, AllReduceError};
+    use bertscope_dist::{ring_allreduce_faulty, DistError};
     let mut bufs: Vec<Vec<f32>> = (0..4).map(|r| vec![r as f32; 256]).collect();
     let timeout = Duration::from_millis(250);
     let start = Instant::now();
     let err = ring_allreduce_faulty(&mut bufs, &[FaultKind::KillRank { rank: 1 }], timeout)
         .expect_err("a dead rank must surface as an error");
     let elapsed = start.elapsed();
-    assert_eq!(err, AllReduceError::RankKilled { rank: 1 });
+    assert_eq!(err, DistError::Killed { rank: 1 });
     // Worst case is one per-hop timeout on each of the 2(D-1) hops plus
     // scheduling slack; the essential property is a bound, not a deadlock.
     assert!(elapsed < Duration::from_secs(6), "degraded exit took {elapsed:?}");

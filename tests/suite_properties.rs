@@ -219,7 +219,7 @@ proptest! {
         prop_assert!(t1 >= gpu.launch_overhead_us);
     }
 
-    /// The threaded Ring AllReduce equals the elementwise sum for arbitrary
+    /// The loopback socket Ring AllReduce equals the elementwise sum for arbitrary
     /// device counts and (possibly indivisible) lengths.
     #[test]
     fn ring_allreduce_is_a_sum(devices in 2usize..6, len in 1usize..200, seedling in 0u64..1000) {
@@ -233,7 +233,7 @@ proptest! {
             (0..len).map(|i| bufs.iter().map(|b| b[i]).sum::<f32>()).collect();
         let mut work = bufs.clone();
         let stats = bertscope_dist::ring_allreduce(&mut work);
-        prop_assert_eq!(stats.devices, devices);
+        prop_assert_eq!(stats.world, devices);
         for b in &work {
             for (got, want) in b.iter().zip(&expected) {
                 prop_assert!((got - want).abs() < 1e-3, "{got} vs {want}");
