@@ -194,7 +194,7 @@ fn run_sched(stats: bool) -> i32 {
         let accesses: Vec<&AccessSet> = ops.iter().map(|op| &op.access).collect();
         let graph = DepGraph::build(ops);
         // Plan the legal fusion grouping over the stream's own labels —
-        // the same patterns the whole-model task graph uses. Training
+        // the same patterns the recorded training step uses. Training
         // streams decline every pair (backward keeps the intermediates
         // multi-successor); inference streams merge residual+LayerNorm
         // chains. Either way the grouping must pass the F-rules and the

@@ -60,11 +60,11 @@ pub struct WorkerConfig {
     pub total_updates: u64,
     /// Gradient-accumulation window (micro-steps per update).
     pub accumulation: usize,
-    /// Overlap backward with communication: record backward through the
-    /// deferred operator-graph scheduler and AllReduce each gradient
-    /// bucket on a communication thread the moment its last producing op
-    /// retires, instead of one aggregate collective after backward.
-    /// Bit-identical results either way.
+    /// Overlap backward with communication: run the recorded step on the
+    /// operator-graph scheduler and AllReduce each gradient bucket on a
+    /// communication thread the moment its last producing op retires,
+    /// instead of one aggregate collective after backward. Bit-identical
+    /// results either way.
     pub overlap: bool,
     /// Fault plan spec (see `FaultPlan::to_spec`).
     pub fault_spec: String,
@@ -649,11 +649,10 @@ fn run_worker(
     // Same config + same seed on every rank: identical initial replicas.
     let bert_cfg = BertConfig::tiny();
     let corpus = SyntheticCorpus::new(bert_cfg.vocab);
-    // `overlap` also records the whole micro-step as a task graph
+    // `overlap` also runs the recorded micro-step on the scheduler
     // (`graph`) so backward/AllReduce overlap composes with inter-op
-    // parallelism; both modes are bit-identical to eager execution.
-    let opts =
-        TrainOptions { deferred: cfg.overlap, graph: cfg.overlap, ..TrainOptions::default() };
+    // parallelism; both modes are bit-identical to inline execution.
+    let opts = TrainOptions { graph: cfg.overlap, ..TrainOptions::default() };
     let mut bert = Bert::new(bert_cfg, opts, cfg.seed);
     let mut trainer = Trainer::new(Lamb::new(0.01), cfg.accumulation)
         .with_sync(Box::new(RingGradSync { shared: shared.clone() }));

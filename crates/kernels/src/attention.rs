@@ -7,15 +7,15 @@
 //! merge, and the output projection. The backward pass mirrors it with the
 //! gradient GEMMs of Table 2b.
 
-use crate::ctx::{run_group, GroupTask, KernelCtx};
+use crate::ctx::KernelCtx;
 use crate::dropout::{dropout_bwd, dropout_fwd, DropoutMask};
 use crate::elementwise::{mask_add, scale};
 use crate::linear::{linear_bwd, linear_fwd};
 use crate::norm::{softmax_bwd, softmax_fwd};
 use crate::Result;
 use bertscope_tensor::{
-    batched_gemm, batched_gemm_ep, AccessSet, BufId, Buffer, Category, DType, Epilogue,
-    GemmEpilogue, GemmSpec, OpKind, Phase, Tensor, TensorError, Tracer, Transpose,
+    batched_gemm, batched_gemm_ep, AccessSet, Buffer, Category, DType, Epilogue, GemmEpilogue,
+    GemmSpec, OpKind, Phase, Tensor, TensorError, Tracer, Transpose,
 };
 
 /// Learned parameters of one attention block.
@@ -82,11 +82,10 @@ pub struct AttentionConfig {
     /// attention-score GEMM's writeback epilogue instead of launching
     /// separate memory-bound elementwise kernels (paper §6.1.3 fusion).
     pub fused_epilogue: bool,
-    /// Record the independent Q/K/V projections (forward and backward) as
-    /// an operator graph and let the scheduler retire them concurrently,
-    /// instead of executing them serially at their call sites. Ignored when
-    /// [`fused_qkv`](Self::fused_qkv) already collapses them into one GEMM.
-    /// Results and traces are bit-identical to eager execution.
+    /// Ignored: the kernels always run the Q/K/V projections at their call
+    /// sites. Concurrency between them comes from recording the whole
+    /// training step as a task graph (`bertscope-train`'s
+    /// `TrainOptions::graph`). Kept only so existing struct literals build.
     pub deferred: bool,
     /// Execution precision.
     pub dtype: DType,
@@ -126,10 +125,6 @@ pub struct AttentionState {
     drop_mask: DropoutMask,
     ctx_merged: Tensor,
 }
-
-/// Result of one deferred projection-backward task: `(d_input, d_weight,
-/// d_bias)` from [`linear_bwd`].
-type ProjGrads = Result<(Tensor, Tensor, Option<Tensor>)>;
 
 /// Reshape `[T, d_model]` into per-head `[B*h, n, d_h]`, tracing the data
 /// movement as a `Copy` kernel.
@@ -271,28 +266,6 @@ pub fn attention_fwd(
         let (w, b) = concat_qkv_weights(p)?;
         let qkv = linear_fwd(tracer, &lin_ctx, x, &w, Some(&b))?;
         split_columns3(&qkv)?
-    } else if cfg.deferred {
-        // Deferred mode: the three projections only share reads (x and
-        // their own weights), so the scheduler retires them concurrently.
-        // Each declares a fresh symbolic output buffer; the real output
-        // ids land in the per-task trace records as usual.
-        let tasks: Vec<GroupTask<'_, Result<Tensor>>> =
-            [("attn.q", &p.wq, &p.bq), ("attn.k", &p.wk, &p.bk), ("attn.v", &p.wv, &p.bv)]
-                .map(|(label, w, b)| {
-                    let lin_ctx = &lin_ctx;
-                    GroupTask::new(
-                        label,
-                        AccessSet::new(&[x.buf_id(), w.buf_id(), b.buf_id()], &[BufId::fresh()]),
-                        move |tr: &mut Tracer| linear_fwd(tr, lin_ctx, x, w, Some(b)),
-                    )
-                })
-                .into_iter()
-                .collect();
-        let (mut outs, _) = run_group(tracer, tasks);
-        let v = outs.pop().expect("qkv group returns three results")?;
-        let k = outs.pop().expect("qkv group returns three results")?;
-        let q = outs.pop().expect("qkv group returns three results")?;
-        (q, k, v)
     } else {
         let q = linear_fwd(tracer, &lin_ctx, x, &p.wq, Some(&p.bq))?;
         let k = linear_fwd(tracer, &lin_ctx, x, &p.wk, Some(&p.bk))?;
@@ -499,40 +472,6 @@ pub fn attention_bwd(
             Tensor::from_buffer(dwv_v, &[d, d])?,
             Tensor::from_buffer(Buffer::copied_from(&db.as_slice()[2 * d..]), &[d])?,
         )
-    } else if cfg.deferred {
-        // Deferred mode: the three projection backward passes are mutually
-        // independent (each reads x, its own weight and its own upstream
-        // gradient), so they run as a concurrent group.
-        let tasks: Vec<GroupTask<'_, ProjGrads>> =
-            [("attn.grad_q", &p.wq, &dq), ("attn.grad_k", &p.wk, &dk), ("attn.grad_v", &p.wv, &dv)]
-                .map(|(label, w, d)| {
-                    let lin_ctx = &lin_ctx;
-                    let x = &state.x;
-                    GroupTask::new(
-                        label,
-                        AccessSet::new(
-                            &[x.buf_id(), w.buf_id(), d.buf_id()],
-                            &[BufId::fresh(), BufId::fresh(), BufId::fresh()],
-                        ),
-                        move |tr: &mut Tracer| linear_bwd(tr, lin_ctx, x, w, d, true),
-                    )
-                })
-                .into_iter()
-                .collect();
-        let (mut outs, _) = run_group(tracer, tasks);
-        let (dx_v, dwv, dbv) = outs.pop().expect("qkv group returns three results")?;
-        let (dx_k, dwk, dbk) = outs.pop().expect("qkv group returns three results")?;
-        let (dx_q, dwq, dbq) = outs.pop().expect("qkv group returns three results")?;
-        let dx = dx_q.add(&dx_k)?.add(&dx_v)?;
-        (
-            dx,
-            dwq,
-            dbq.expect("bias requested"),
-            dwk,
-            dbk.expect("bias requested"),
-            dwv,
-            dbv.expect("bias requested"),
-        )
     } else {
         let (dx_q, dwq, dbq) = linear_bwd(tracer, &lin_ctx, &state.x, &p.wq, &dq, true)?;
         let (dx_k, dwk, dbk) = linear_bwd(tracer, &lin_ctx, &state.x, &p.wk, &dk, true)?;
@@ -645,37 +584,6 @@ mod tests {
         let fused_spec =
             tr_f.records().iter().find(|r| r.kind == OpKind::Gemm).and_then(|r| r.gemm).unwrap();
         assert_eq!(fused_spec.m, 12, "fused projection output is 3*d_model wide");
-    }
-
-    #[test]
-    fn deferred_qkv_is_bit_identical_to_eager() {
-        use bertscope_tensor::pool::with_threads;
-        let p = tiny_params(7, 4);
-        let x = rand_tensor(17, &[6, 4]);
-        let dy = rand_tensor(18, &[6, 4]);
-        let mut tr_e = Tracer::new();
-        let eager = tiny_cfg(false);
-        let (y_e, st_e) = attention_fwd(&mut tr_e, &eager, &p, &x, None, 0).unwrap();
-        let (dx_e, g_e) = attention_bwd(&mut tr_e, &eager, &p, &st_e, &dy).unwrap();
-        for threads in [1, 2, 8] {
-            with_threads(threads, || {
-                let mut tr_d = Tracer::new();
-                let deferred = AttentionConfig { deferred: true, ..eager };
-                let (y_d, st_d) = attention_fwd(&mut tr_d, &deferred, &p, &x, None, 0).unwrap();
-                let (dx_d, g_d) = attention_bwd(&mut tr_d, &deferred, &p, &st_d, &dy).unwrap();
-                // Bit-identical values at every thread count...
-                assert_eq!(y_e.as_slice(), y_d.as_slice(), "threads={threads}");
-                assert_eq!(dx_e.as_slice(), dx_d.as_slice(), "threads={threads}");
-                assert_eq!(g_e.wq.as_slice(), g_d.wq.as_slice());
-                assert_eq!(g_e.bk.as_slice(), g_d.bk.as_slice());
-                assert_eq!(g_e.wv.as_slice(), g_d.wv.as_slice());
-                // ...and an identical merged kernel stream (names in
-                // eager program order).
-                let names =
-                    |tr: &Tracer| tr.records().iter().map(|r| r.name.clone()).collect::<Vec<_>>();
-                assert_eq!(names(&tr_e), names(&tr_d), "threads={threads}");
-            });
-        }
     }
 
     #[test]

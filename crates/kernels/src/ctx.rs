@@ -1,8 +1,5 @@
-//! Kernel invocation context: where in the network a kernel call sits,
-//! plus the deferred recording mode ([`GroupTask`]/[`run_group`]) that
-//! hands independent kernel calls to the operator-graph scheduler.
+//! Kernel invocation context: where in the network a kernel call sits.
 
-use bertscope_tensor::sched::{RunReport, Slot, TaskGraph};
 use bertscope_tensor::{AccessSet, Category, DType, GemmSpec, OpKind, OpRecord, Phase, Tracer};
 
 /// Describes the network position of a kernel invocation so the tracer can
@@ -151,62 +148,6 @@ impl KernelCtx {
     }
 }
 
-/// One kernel call recorded for deferred execution: a display label, the
-/// [`AccessSet`] provenance the scheduler derives dependences from, and the
-/// body that actually runs the kernel (tracing into the private tracer it
-/// is handed).
-pub struct GroupTask<'scope, T> {
-    label: String,
-    access: AccessSet,
-    body: Box<dyn FnOnce(&mut Tracer) -> T + Send + 'scope>,
-}
-
-impl<'scope, T> GroupTask<'scope, T> {
-    /// Record a kernel call for deferred execution. `access` must declare
-    /// every buffer the body reads and writes; an empty set degrades the
-    /// task to a full barrier (safe but serial).
-    pub fn new(
-        label: impl Into<String>,
-        access: AccessSet,
-        body: impl FnOnce(&mut Tracer) -> T + Send + 'scope,
-    ) -> Self {
-        GroupTask { label: label.into(), access, body: Box::new(body) }
-    }
-}
-
-impl<T> std::fmt::Debug for GroupTask<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupTask").field("label", &self.label).finish()
-    }
-}
-
-/// Deferred mode: run a group of recorded kernel calls as an operator
-/// graph. Dependences come from the declared access sets, independent
-/// tasks retire concurrently on the worker pool, and results are returned
-/// in *submission* order — so swapping an eager call sequence for a
-/// `run_group` is behaviour-preserving: bit-identical values, an identical
-/// merged trace, and only the real schedule (captured in the returned
-/// [`RunReport`]) differs.
-///
-/// # Panics
-///
-/// Propagates task panics after the group quiesces.
-pub fn run_group<T: Send>(
-    tracer: &mut Tracer,
-    tasks: Vec<GroupTask<'_, T>>,
-) -> (Vec<T>, RunReport) {
-    let slots: Vec<Slot<T>> = tasks.iter().map(|_| Slot::new()).collect();
-    let mut graph = TaskGraph::new();
-    for (task, slot) in tasks.into_iter().zip(&slots) {
-        let GroupTask { label, access, body } = task;
-        graph.submit(label, access, move |tr: &mut Tracer| slot.put(body(tr)));
-    }
-    let report = graph.run(tracer);
-    let outputs =
-        slots.iter().map(|s| s.take().expect("deferred task produced no value")).collect();
-    (outputs, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,37 +188,6 @@ mod tests {
         let bspec = GemmSpec::batched(Transpose::No, Transpose::Yes, 4, 4, 2, 6);
         ctx.trace_gemm(&mut tr, "bgemm", bspec);
         assert_eq!(tr.records()[1].kind, OpKind::BatchedGemm);
-    }
-
-    #[test]
-    fn run_group_returns_submission_order_and_merges_traces() {
-        use bertscope_tensor::BufId;
-        let mut tr = Tracer::new();
-        let bufs: Vec<BufId> = (0..3).map(|_| BufId::fresh()).collect();
-        let tasks: Vec<GroupTask<'_, usize>> = bufs
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| {
-                GroupTask::new(format!("task{i}"), AccessSet::new(&[], &[b]), move |tr| {
-                    let ctx = KernelCtx::new("group", Category::Gelu, Phase::Forward);
-                    ctx.trace_acc(
-                        tr,
-                        &format!("op{i}"),
-                        OpKind::ElementWise,
-                        1,
-                        4,
-                        4,
-                        AccessSet::new(&[], &[b]),
-                    );
-                    i * 10
-                })
-            })
-            .collect();
-        let (outs, report) = run_group(&mut tr, tasks);
-        assert_eq!(outs, vec![0, 10, 20], "results come back in submission order");
-        assert_eq!(report.completion_order.len(), 3);
-        let names: Vec<&str> = tr.records().iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, vec!["group.op0.fwd", "group.op1.fwd", "group.op2.fwd"]);
     }
 
     #[test]

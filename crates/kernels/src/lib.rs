@@ -32,7 +32,7 @@ pub mod loss;
 pub mod masks;
 pub mod norm;
 
-pub use ctx::{run_group, GroupTask, KernelCtx};
+pub use ctx::KernelCtx;
 
 /// Result alias re-used from the tensor substrate.
 pub type Result<T> = bertscope_tensor::Result<T>;

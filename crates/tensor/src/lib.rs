@@ -17,10 +17,10 @@
 //!   workspace routes through (the CPU stand-in for the ROCm caching
 //!   allocator), with global live/peak byte accounting that feeds the
 //!   measured [`MemoryProfile`];
-//! * [`sched`] — the deferred operator-graph scheduler: tasks recorded
-//!   with `AccessSet` provenance, executed as a dependence DAG over the
-//!   worker pool with inter-op parallelism (the CPU stand-in for HIP
-//!   stream/event scheduling), bit-identical to eager program order;
+//! * [`sched`] — the operator-graph scheduler: tasks recorded with
+//!   `AccessSet` provenance, run inline in program order or as a
+//!   dependence DAG over the worker pool with inter-op parallelism (the CPU
+//!   stand-in for HIP stream/event scheduling), bit-identical either way;
 //! * [`trace`] — the operation tracer that records, for every kernel
 //!   invocation, its manifestation (GEMM / batched-GEMM / elementwise /
 //!   reduction), shape, FLOP count and bytes moved. The tracer plays the role

@@ -1,31 +1,32 @@
-//! Deferred operator-graph scheduler: record first, run the DAG second.
+//! Operator-graph scheduler: record first, run the DAG second.
 //!
-//! The rest of the substrate executes kernels *eagerly* — each call runs at
-//! its call site, internally data-parallel over the worker pool, and the
-//! program order is the schedule. This module inverts that model the way a
-//! GPU stream/graph runtime does: callers *record* named tasks into a
-//! [`TaskGraph`], each task carrying the same [`AccessSet`] read/write
-//! provenance the tracer already threads through every kernel. [`TaskGraph::run`]
-//! derives the dependence DAG from that provenance (the same
-//! last-writer/readers-since construction as `bertscope-check`'s
-//! `DepGraph::build`), then dispatches *ready* tasks onto the worker pool —
-//! independent ops (the three Q/K/V projections, per-layer gradient
-//! computations) retire concurrently instead of serially.
+//! Callers *record* named tasks into a [`TaskGraph`], each task carrying
+//! the same [`AccessSet`] read/write provenance the tracer already threads
+//! through every kernel. A recorded graph runs one of two ways:
+//!
+//! * [`TaskGraph::run_inline`] runs each body on the calling thread in
+//!   submission order — eager execution, where program order is the
+//!   schedule and each kernel is internally data-parallel over the pool.
+//! * [`TaskGraph::run`] works the way a GPU stream/graph runtime does: it
+//!   derives the dependence DAG from the provenance (the same
+//!   last-writer/readers-since construction as `bertscope-check`'s
+//!   `DepGraph::build`), then dispatches *ready* tasks onto the worker
+//!   pool, so independent tasks retire concurrently instead of serially.
 //!
 //! # Determinism and safety
 //!
-//! * **Bit-identical results.** Every task body runs under
-//!   [`pool::run_isolated`], i.e. internally serial with the 1-thread
-//!   reference chunking each kernel is already bit-identical against.
-//!   Parallelism comes only from the DAG, and the DAG never lets two tasks
-//!   race on a buffer (RAW/WAR/WAW all become edges), so outputs are
-//!   bit-identical to eager program order at any worker count.
-//! * **Deterministic traces.** Each task records into a private tracer;
-//!   [`TaskGraph::run`] merges the fragments back in *submission* order, so
-//!   the merged trace equals the eager trace regardless of retirement
-//!   order. What actually varies — the completion order — is returned in
-//!   the [`RunReport`] so `bertscope-check` can re-verify the *emitted
-//!   schedule* against the H001–H005 hazard rules.
+//! * **Bit-identical results.** Under [`TaskGraph::run`] every task body
+//!   runs under [`pool::run_isolated`], i.e. internally serial with the
+//!   1-thread reference chunking each kernel is already bit-identical
+//!   against. Parallelism comes only from the DAG, and the DAG never lets
+//!   two tasks race on a buffer (RAW/WAR/WAW all become edges), so outputs
+//!   are bit-identical to inline execution at any worker count.
+//! * **Deterministic traces.** Each scheduled task records into a private
+//!   tracer; [`TaskGraph::run`] merges the fragments back in *submission*
+//!   order, so the merged trace equals the inline trace regardless of
+//!   retirement order. What actually varies — the completion order — is
+//!   returned in the [`RunReport`] so `bertscope-check` can re-verify the
+//!   *emitted schedule* against the H001–H005 hazard rules.
 //! * **Opaque tasks are barriers.** A task whose [`AccessSet`] is empty has
 //!   unknown provenance; the scheduler orders it after every earlier task
 //!   and before every later one rather than guessing independence.
@@ -59,8 +60,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// A recorded task body: runs once, records its kernels into the private
-/// tracer it is handed.
+/// A recorded task body: runs once, records its kernels into the tracer it
+/// is handed.
 pub type TaskBody<'scope> = Box<dyn FnOnce(&mut Tracer) + Send + 'scope>;
 
 struct Task<'scope> {
@@ -168,8 +169,8 @@ pub fn dag_shape(preds: &[Vec<usize>]) -> (usize, usize) {
     (depth, width.into_iter().max().unwrap_or(0))
 }
 
-/// A deferred execution graph: tasks recorded with buffer provenance, run
-/// as a dependence DAG over the worker pool.
+/// A recorded execution graph: tasks with buffer provenance, run inline in
+/// submission order or as a dependence DAG over the worker pool.
 #[derive(Default)]
 pub struct TaskGraph<'scope> {
     tasks: Vec<Task<'scope>>,
@@ -214,10 +215,22 @@ impl<'scope> TaskGraph<'scope> {
         self.tasks.len() - 1
     }
 
+    /// Execute the graph inline: run every task body on the calling thread
+    /// in submission order, recording straight into `tracer`. Submission
+    /// order is always a topological order of the dependence DAG, and the
+    /// records land in the order [`TaskGraph::run`]'s merge produces. Bodies
+    /// are *not* isolated, so their kernels keep the pool's intra-op
+    /// parallelism. No [`RunReport`] is built or captured.
+    pub fn run_inline(self, tracer: &mut Tracer) {
+        for task in self.tasks {
+            (task.body)(tracer);
+        }
+    }
+
     /// Execute the graph: derive the dependence DAG from the recorded
     /// access sets and dispatch ready tasks onto the worker pool until all
     /// retire. Task bodies run isolated (internally serial), so results are
-    /// bit-identical to eager program order at any thread count. Records
+    /// bit-identical to [`TaskGraph::run_inline`] at any thread count. Records
     /// are merged into `tracer` in submission order; the actual retirement
     /// order is returned for hazard re-verification.
     ///
@@ -336,7 +349,7 @@ impl<'scope> TaskGraph<'scope> {
         debug_assert_eq!(completion_order.len(), n, "scheduler retired every task");
 
         // Merge per-task records back in submission order: the merged trace
-        // is identical to the eager trace, and each task's records occupy a
+        // is identical to the inline trace, and each task's records occupy a
         // contiguous range.
         let first_record = tracer.records().len();
         let mut task_records = Vec::with_capacity(n);
@@ -645,46 +658,6 @@ pub fn plan_order(accesses: &[&AccessSet], workers: usize) -> Vec<usize> {
     order
 }
 
-/// Expand a set of deferred-group [`RunReport`]s into a completion order
-/// for a whole trace of `total_records` records: records outside any group
-/// retire in program order; records inside a group retire in the order the
-/// group's executor emitted. The result is a permutation of
-/// `0..total_records` — the live schedule of a traced step, ready for
-/// `Schedule::from_completion_order`.
-///
-/// # Panics
-///
-/// Panics when the reports' record ranges overlap or exceed the trace.
-#[must_use]
-pub fn splice_order(total_records: usize, runs: &[RunReport]) -> Vec<usize> {
-    let mut sorted: Vec<&RunReport> = runs.iter().filter(|r| !r.record_order.is_empty()).collect();
-    sorted.sort_by_key(|r| r.first_record);
-    let mut order = Vec::with_capacity(total_records);
-    let mut next_run = sorted.iter().peekable();
-    let mut i = 0;
-    while i < total_records {
-        if let Some(run) = next_run.peek() {
-            if run.first_record == i {
-                let len = run.record_order.len();
-                assert!(
-                    i + len <= total_records,
-                    "deferred group records [{i}, {}) exceed the trace ({total_records} records)",
-                    i + len
-                );
-                order.extend_from_slice(&run.record_order);
-                i += len;
-                next_run.next();
-                continue;
-            }
-            assert!(run.first_record > i, "deferred group record ranges overlap at record {i}");
-        }
-        order.push(i);
-        i += 1;
-    }
-    assert!(next_run.peek().is_none(), "deferred group starts past the end of the trace");
-    order
-}
-
 thread_local! {
     /// Capture buffer for [`RunReport`]s, used by tests and `racecheck` to
     /// collect the live schedules a traced step emitted.
@@ -919,25 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn splice_order_interleaves_groups_with_program_order() {
-        let run = RunReport {
-            completion_order: vec![1, 0],
-            first_record: 2,
-            task_records: vec![2..3, 3..4],
-            record_order: vec![3, 2],
-            workers: 2,
-            labels: vec!["a".into(), "b".into()],
-            task_ns: vec![1, 1],
-            elapsed_ns: 2,
-            depth: 1,
-            max_width: 2,
-        };
-        let order = splice_order(6, &[run]);
-        assert_eq!(order, vec![0, 1, 3, 2, 4, 5]);
-        assert_eq!(splice_order(3, &[]), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn capture_collects_run_reports() {
         start_capture();
         let x = BufId::fresh();
@@ -948,6 +902,64 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].completion_order, vec![0]);
         assert!(take_captured().is_empty(), "capture is consumed");
+    }
+
+    #[test]
+    fn inline_run_matches_scheduled_run_and_logs_nothing() {
+        use crate::trace::{Category, OpKind, Phase};
+        use crate::DType;
+        fn mk(name: &str) -> OpRecord {
+            OpRecord {
+                name: name.into(),
+                kind: OpKind::ElementWise,
+                category: Category::Gelu,
+                phase: Phase::Forward,
+                layer: None,
+                gemm: None,
+                flops: 1,
+                bytes_read: 4,
+                bytes_written: 4,
+                dtype: DType::F32,
+                access: AccessSet::default(),
+            }
+        }
+        fn build(sums: &Mutex<Vec<usize>>) -> TaskGraph<'_> {
+            let x = BufId::fresh();
+            let mut g = TaskGraph::new();
+            g.submit("produce", acc(&[], &[x]), move |tr: &mut Tracer| {
+                sums.lock().unwrap()[0] = 3;
+                tr.record(mk("produce"));
+            });
+            for i in 1..3 {
+                g.submit(format!("consume{i}"), acc(&[x], &[BufId::fresh()]), move |tr| {
+                    // Inline bodies may fan kernels out over the pool.
+                    let total: usize =
+                        pool::parallel_map(100, 10, |r| r.sum::<usize>()).into_iter().sum();
+                    let mut d = sums.lock().unwrap();
+                    d[i] = d[0] * i + total;
+                    tr.record(mk(&format!("consume{i}")));
+                });
+            }
+            g
+        }
+        for threads in [1, 2, 8] {
+            with_threads(threads, || {
+                let scheduled = Mutex::new(vec![0; 3]);
+                let mut tr_s = Tracer::new();
+                build(&scheduled).run(&mut tr_s);
+                start_capture();
+                let inline = Mutex::new(vec![0; 3]);
+                let mut tr_i = Tracer::new();
+                build(&inline).run_inline(&mut tr_i);
+                assert!(take_captured().is_empty(), "inline runs log no report");
+                assert_eq!(*inline.lock().unwrap(), vec![3, 4953, 4956]);
+                assert_eq!(*inline.lock().unwrap(), *scheduled.lock().unwrap());
+                let names =
+                    |tr: &Tracer| tr.records().iter().map(|r| r.name.clone()).collect::<Vec<_>>();
+                assert_eq!(names(&tr_i), vec!["produce", "consume1", "consume2"]);
+                assert_eq!(names(&tr_i), names(&tr_s), "threads={threads}");
+            });
+        }
     }
 
     #[test]

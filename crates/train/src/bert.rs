@@ -2,31 +2,28 @@
 //! stack, masked-LM and next-sentence-prediction heads, loss, and a complete
 //! hand-derived backward pass — with operation tracing throughout.
 //!
-//! The kernel sequence emitted here is, by construction, the same sequence
-//! (minus pure copies) that `bertscope_model::build_iteration` produces
-//! analytically; the `trace_matches_graph` integration test enforces this.
+//! This module holds the model's parameters, options and gradient plumbing;
+//! the step itself is described once, as a recorded task graph, in
+//! [`crate::graph`]. Its kernel sequence is the same sequence (minus pure
+//! copies) that `bertscope_model::build_iteration` produces analytically;
+//! the `trace_matches_graph` integration test enforces this.
 
 use crate::data::PretrainBatch;
-use crate::layer::{layer_bwd, layer_fwd, LayerActivations, LayerCtx, LayerGrads, LayerParams};
+use crate::layer::{LayerCtx, LayerGrads, LayerParams};
 use crate::optim::ParamSlot;
-use bertscope_kernels::activation::{gelu_bwd, gelu_fwd, tanh_bwd, tanh_fwd};
 use bertscope_kernels::elementwise::residual_add;
-use bertscope_kernels::embedding::{embedding_bwd, embedding_fwd};
-use bertscope_kernels::linear::{linear_bwd, linear_fwd};
-use bertscope_kernels::loss::{cross_entropy_bwd, cross_entropy_fwd};
-use bertscope_kernels::norm::{layernorm_bwd, layernorm_fwd};
+use bertscope_kernels::embedding::embedding_fwd;
+use bertscope_kernels::norm::layernorm_fwd;
 use bertscope_kernels::{KernelCtx, Result};
-use bertscope_model::{checkpoint_segments, BertConfig, Precision};
+use bertscope_model::{BertConfig, Precision};
 use bertscope_tensor::init::randn;
 use bertscope_tensor::{
-    gemm, gemm_ep, AccessSet, Buffer, Category, DType, Epilogue, GemmEpilogue, GemmSpec, OpKind,
-    OpRecord, Phase, Tensor, Tracer, Transpose,
+    AccessSet, Buffer, Category, DType, OpKind, OpRecord, Phase, Tensor, Tracer,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Granularity of the tasks the whole-model graph recorder emits
-/// ([`TrainOptions::graph`]).
+/// Granularity of the tasks the step recorder ([`crate::graph`]) emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TaskGrain {
     /// One task per model-level unit: the embedding block, each
@@ -58,28 +55,30 @@ pub struct TrainOptions {
     /// FC1's bias+GeLU and the attention-score scale+mask execute inside
     /// the producing GEMM instead of as separate memory-bound kernels.
     pub fused_epilogue: bool,
-    /// Defer independent kernel groups (the Q/K/V projections and their
-    /// backward passes) to the operator-graph scheduler so they retire
-    /// concurrently. Bit-identical to eager execution at any thread count.
+    /// Ignored. Concurrency between independent kernels comes from
+    /// [`TrainOptions::graph`]. Kept only so existing struct literals build.
     pub deferred: bool,
     /// Loss scale applied to gradients in mixed precision.
     pub loss_scale: f32,
     /// Use decoder-style causal attention (paper §2.3: masks future tokens;
     /// identical kernel structure and cost to the encoder).
     pub causal_attention: bool,
-    /// Record the *whole* step — forward, loss, backward, observer
-    /// boundaries — as one task graph per micro-step and execute it through
-    /// `bertscope_tensor::sched` instead of eagerly. Bit-identical to eager
-    /// at any thread count; the merged trace equals the eager trace.
+    /// How the recorded step runs. Every step — forward, loss, backward,
+    /// observer boundaries — is recorded as one task graph
+    /// ([`crate::graph`]). `false` (the default) runs it eagerly: each task
+    /// inline on the calling thread in program order, with kernels free to
+    /// use the whole worker pool. `true` runs it on the
+    /// `bertscope_tensor::sched` scheduler, with independent tasks retiring
+    /// concurrently. Both are bit-identical at any thread count, and their
+    /// traces are equal.
     pub graph: bool,
-    /// Task granularity under [`TrainOptions::graph`].
+    /// Task granularity of the recorded step.
     pub grain: TaskGrain,
     /// Apply the verified fusion pass (`TaskGraph::fuse`) to recorded
-    /// graphs: adjacent sole-successor pairs like FC1→GeLU and
+    /// evaluation graphs: adjacent sole-successor pairs like FC1→GeLU and
     /// residual→LayerNorm merge into single dispatches. Only forward-only
-    /// graphs at [`TaskGrain::Op`] have fusable pairs — training graphs
-    /// keep every intermediate alive for backward, which the legality
-    /// check correctly refuses.
+    /// graphs at [`TaskGrain::Op`] have fusable pairs; training graphs keep
+    /// every intermediate alive for backward and are never fused.
     pub fuse: bool,
 }
 
@@ -326,15 +325,16 @@ impl Bert {
         KernelCtx::new(name, cat, phase).dtype(self.act_dtype())
     }
 
-    pub(crate) fn layer_ctx(&self, layer: usize) -> LayerCtx {
+    /// The context layer `layer`'s kernels run under; evaluation zeroes
+    /// dropout.
+    pub(crate) fn layer_ctx(&self, layer: usize, eval: bool) -> LayerCtx {
         LayerCtx::new(
             &self.cfg,
             layer,
             self.act_dtype(),
-            self.opts.dropout_p,
+            if eval { 0.0 } else { self.opts.dropout_p },
             self.opts.fused_qkv,
             self.opts.fused_epilogue,
-            self.opts.deferred,
         )
     }
 
@@ -343,6 +343,7 @@ impl Bert {
         &self,
         tracer: &mut Tracer,
         batch: &PretrainBatch,
+        dropout_p: f32,
         seed: u64,
     ) -> Result<(Tensor, EmbeddingActs)> {
         let fwd = Phase::Forward;
@@ -360,13 +361,8 @@ impl Bert {
             &self.heads.emb_ln_beta,
             1e-5,
         )?;
-        let (x0, drop) = bertscope_kernels::dropout::dropout_fwd(
-            tracer,
-            &ctx,
-            &normed,
-            self.opts.dropout_p,
-            seed,
-        )?;
+        let (x0, drop) =
+            bertscope_kernels::dropout::dropout_fwd(tracer, &ctx, &normed, dropout_p, seed)?;
         Ok((x0, EmbeddingActs { sum2, ln_state, drop }))
     }
 
@@ -418,352 +414,27 @@ impl Bert {
     /// a bucket's collective can start the moment its last writer retires,
     /// while backward continues on earlier layers.
     ///
+    /// The step is recorded as a task graph and run inline, or on the
+    /// scheduler under [`TrainOptions::graph`].
+    ///
     /// # Errors
     ///
     /// Propagates kernel errors (shape mismatches indicate a bug).
-    #[allow(clippy::too_many_lines)]
     pub fn train_step_observed(
         &mut self,
         tracer: &mut Tracer,
         batch: &PretrainBatch,
-        mut observer: Option<&mut dyn crate::defer::GradObserver>,
+        observer: Option<&mut dyn crate::defer::GradObserver>,
     ) -> Result<StepOutput> {
-        if self.opts.graph {
-            // Graph-first execution spine: record the whole step as a task
-            // graph and run it through the operator-graph scheduler. The
-            // eager path below stays as the bit-identical reference mode.
-            return self.train_step_graph(tracer, batch, observer);
-        }
         self.step += 1;
         let seed0 = self.step * 1_000_003;
-        let t = self.cfg.tokens();
-        let d = self.cfg.d_model;
-        let dt = self.act_dtype();
-
-        // ---- Forward ----
-        let (x0, emb_acts) = self.embedding_fwd_pass(tracer, batch, seed0)?;
+        // The mask is untraced constant data: compute it before recording.
         let mask = self.attention_mask(batch)?;
-
-        let segs = checkpoint_segments(self.cfg.layers);
-        let per_seg = self.cfg.layers.div_ceil(segs);
-        let mut acts: Vec<Option<LayerActivations>> = vec![None; self.cfg.layers];
-        // Segment-boundary inputs (all inputs when not checkpointing are
-        // unnecessary: the backward pass only needs the saved activations).
-        let mut seg_inputs: Vec<Option<Tensor>> = vec![None; self.cfg.layers];
-        let mut x = x0;
-        for l in 0..self.cfg.layers {
-            if self.opts.checkpoint && l % per_seg == 0 {
-                seg_inputs[l] = Some(x.clone());
-            }
-            let lc = self.layer_ctx(l);
-            let (y, a) =
-                layer_fwd(tracer, &lc, &self.layers[l], &x, Some(&mask), seed0 + l as u64)?;
-            if !self.opts.checkpoint {
-                acts[l] = Some(a);
-            }
-            x = y;
-        }
-        let seq_out = x;
-
-        // ---- Output heads forward ----
-        let out_ctx = self.kctx("mlm", Category::Output, Phase::Forward);
-        let mlm_h = linear_fwd(
-            tracer,
-            &self.kctx("mlm.dense", Category::Output, Phase::Forward),
-            &seq_out,
-            &self.heads.mlm_dense_w,
-            Some(&self.heads.mlm_dense_b),
-        )?;
-        let mlm_g = gelu_fwd(tracer, &out_ctx, &mlm_h)?;
-        let (mlm_n, mlm_ln_state) = layernorm_fwd(
-            tracer,
-            &out_ctx,
-            &mlm_g,
-            &self.heads.mlm_ln_gamma,
-            &self.heads.mlm_ln_beta,
-            1e-5,
-        )?;
-        // Tied decoder: logits = x * W_word^T + b.
-        let logits = gemm_ep(
-            Transpose::No,
-            Transpose::Yes,
-            1.0,
-            &mlm_n,
-            &self.heads.word_emb,
-            0.0,
-            None,
-            GemmEpilogue::Bias(self.heads.decoder_bias.as_slice()),
-        )?;
-        {
-            let dec_ctx = self.kctx("mlm.decoder", Category::Output, Phase::Forward);
-            dec_ctx.trace_gemm_acc(
-                tracer,
-                "gemm",
-                GemmSpec::new(Transpose::No, Transpose::Yes, self.cfg.vocab, t, d)
-                    .with_epilogue(Epilogue::Bias),
-                AccessSet::new(
-                    &[
-                        mlm_n.buf_id(),
-                        self.heads.word_emb.buf_id(),
-                        self.heads.decoder_bias.buf_id(),
-                    ],
-                    &[logits.buf_id()],
-                ),
-            );
-        }
-        let xent_ctx = KernelCtx::new("mlm", Category::Output, Phase::Forward).dtype(DType::F32);
-        let (mlm_loss, mlm_xent) =
-            cross_entropy_fwd(tracer, &xent_ctx, &logits, &batch.mlm_targets)?;
-
-        // NSP head on the [CLS] rows.
-        let cls_rows = self.gather_cls(tracer, &seq_out)?;
-        let nsp_ctx = self.kctx("nsp", Category::Output, Phase::Forward);
-        let pooled_pre = linear_fwd(
-            tracer,
-            &self.kctx("nsp.pooler", Category::Output, Phase::Forward),
-            &cls_rows,
-            &self.heads.pooler_w,
-            Some(&self.heads.pooler_b),
-        )?;
-        let pooled = tanh_fwd(tracer, &nsp_ctx, &pooled_pre)?;
-        let nsp_logits = linear_fwd(
-            tracer,
-            &self.kctx("nsp.classifier", Category::Output, Phase::Forward),
-            &pooled,
-            &self.heads.cls_w,
-            Some(&self.heads.cls_b),
-        )?;
-        let nsp_xent_ctx =
-            KernelCtx::new("nsp", Category::Output, Phase::Forward).dtype(DType::F32);
-        let (nsp_loss, nsp_xent) =
-            cross_entropy_fwd(tracer, &nsp_xent_ctx, &nsp_logits, &batch.nsp_labels)?;
-
-        // ---- Backward (graph order: NSP first, then MLM) ----
-        let scale = self.opts.loss_scale;
-        let nsp_bwd_ctx =
-            KernelCtx::new("nsp", Category::Output, Phase::Backward).dtype(DType::F32);
-        let mut d_nsp_logits = cross_entropy_bwd(tracer, &nsp_bwd_ctx, &nsp_xent)?;
-        if scale != 1.0 {
-            d_nsp_logits = d_nsp_logits.scale(scale);
-        }
-        let (d_pooled, d_cls_w, d_cls_b) = linear_bwd(
-            tracer,
-            &self.kctx("nsp.classifier", Category::Output, Phase::Backward),
-            &pooled,
-            &self.heads.cls_w,
-            &d_nsp_logits,
-            true,
-        )?;
-        let d_cls_b = d_cls_b.expect("bias requested");
-        let nsp_bwd = self.kctx("nsp", Category::Output, Phase::Backward);
-        let d_pooled_pre = tanh_bwd(tracer, &nsp_bwd, &pooled, &d_pooled)?;
-        let (d_cls_rows, d_pooler_w, d_pooler_b) = linear_bwd(
-            tracer,
-            &self.kctx("nsp.pooler", Category::Output, Phase::Backward),
-            &cls_rows,
-            &self.heads.pooler_w,
-            &d_pooled_pre,
-            true,
-        )?;
-        let d_pooler_b = d_pooler_b.expect("bias requested");
-
-        let mlm_bwd_ctx =
-            KernelCtx::new("mlm", Category::Output, Phase::Backward).dtype(DType::F32);
-        let mut d_logits = cross_entropy_bwd(tracer, &mlm_bwd_ctx, &mlm_xent)?;
-        if scale != 1.0 {
-            d_logits = d_logits.scale(scale);
-        }
-        // Decoder backward (tied weights): d_mlm_n = d_logits * W_word,
-        // dW_word += d_logits^T * mlm_n, db = colsum(d_logits).
-        let d_mlm_n =
-            gemm(Transpose::No, Transpose::No, 1.0, &d_logits, &self.heads.word_emb, 0.0, None)?;
-        let dec_bwd = self.kctx("mlm.decoder", Category::Output, Phase::Backward);
-        dec_bwd.trace_gemm_acc(
-            tracer,
-            "grad_act",
-            GemmSpec::new(Transpose::No, Transpose::No, d, t, self.cfg.vocab),
-            AccessSet::new(&[d_logits.buf_id(), self.heads.word_emb.buf_id()], &[d_mlm_n.buf_id()]),
-        );
-        let d_word_from_decoder =
-            gemm(Transpose::Yes, Transpose::No, 1.0, &d_logits, &mlm_n, 0.0, None)?;
-        dec_bwd.trace_gemm_acc(
-            tracer,
-            "grad_wt",
-            GemmSpec::new(Transpose::Yes, Transpose::No, self.cfg.vocab, d, t),
-            AccessSet::new(&[d_logits.buf_id(), mlm_n.buf_id()], &[d_word_from_decoder.buf_id()]),
-        );
-        let d_decoder_bias = {
-            let mut acc = Buffer::zeroed(self.cfg.vocab);
-            for row in d_logits.as_slice().chunks(self.cfg.vocab) {
-                for (a, &v) in acc.iter_mut().zip(row) {
-                    *a += v;
-                }
-            }
-            let es = dt.size_bytes();
-            dec_bwd.trace_acc(
-                tracer,
-                "grad_bias",
-                OpKind::Reduction,
-                (t * self.cfg.vocab) as u64,
-                (t * self.cfg.vocab) as u64 * es,
-                self.cfg.vocab as u64 * 4,
-                AccessSet::new(&[d_logits.buf_id()], &[acc.id()]),
-            );
-            Tensor::from_buffer(acc, &[self.cfg.vocab])?
-        };
-        let out_bwd = self.kctx("mlm", Category::Output, Phase::Backward);
-        let (d_mlm_g, d_mlm_ln_gamma, d_mlm_ln_beta) = layernorm_bwd(
-            tracer,
-            &out_bwd,
-            &mlm_g,
-            &self.heads.mlm_ln_gamma,
-            &mlm_ln_state,
-            &d_mlm_n,
-        )?;
-        let d_mlm_h = gelu_bwd(tracer, &out_bwd, &mlm_h, &d_mlm_g)?;
-        let (mut d_seq, d_mlm_dense_w, d_mlm_dense_b) = linear_bwd(
-            tracer,
-            &self.kctx("mlm.dense", Category::Output, Phase::Backward),
-            &seq_out,
-            &self.heads.mlm_dense_w,
-            &d_mlm_h,
-            true,
-        )?;
-        let d_mlm_dense_b = d_mlm_dense_b.expect("bias requested");
-        // Scatter the NSP gradient back into the [CLS] rows.
-        self.scatter_cls(tracer, &mut d_seq, &d_cls_rows);
-        // All nine head gradients are final here (the tied decoder weight
-        // gradient belongs to the *embedding* group, reported last).
-        if let Some(obs) = observer.as_mut() {
-            obs.group_ready(
-                5 + self.cfg.layers * 16,
-                &[
-                    &d_mlm_dense_w,
-                    &d_mlm_dense_b,
-                    &d_mlm_ln_gamma,
-                    &d_mlm_ln_beta,
-                    &d_decoder_bias,
-                    &d_pooler_w,
-                    &d_pooler_b,
-                    &d_cls_w,
-                    &d_cls_b,
-                ],
-            );
-        }
-
-        // ---- Transformer backward (with recomputation when checkpointing) ----
-        let mut layer_grads: Vec<Option<LayerGrads>> = vec![None; self.cfg.layers];
-        let mut dy = d_seq;
-        if self.opts.checkpoint {
-            let mut seg_starts: Vec<usize> = (0..self.cfg.layers).step_by(per_seg).collect();
-            seg_starts.reverse();
-            for start in seg_starts {
-                let end = (start + per_seg).min(self.cfg.layers);
-                // Recompute the segment forward from its checkpointed input.
-                let mut xin = seg_inputs[start].clone().expect("segment input checkpointed");
-                let mut tmp = Tracer::new();
-                #[allow(clippy::needless_range_loop)]
-                for l in start..end {
-                    let lc = self.layer_ctx(l);
-                    let (y, a) = layer_fwd(
-                        &mut tmp,
-                        &lc,
-                        &self.layers[l],
-                        &xin,
-                        Some(&mask),
-                        seed0 + l as u64,
-                    )?;
-                    acts[l] = Some(a);
-                    xin = y;
-                }
-                tracer.extend(tmp.into_records().into_iter().map(|mut r| {
-                    r.phase = Phase::Recompute;
-                    r
-                }));
-                for l in (start..end).rev() {
-                    let lc = self.layer_ctx(l);
-                    let (dx, g) = layer_bwd(
-                        tracer,
-                        &lc,
-                        &self.layers[l],
-                        acts[l].as_ref().expect("recomputed"),
-                        &dy,
-                    )?;
-                    if let Some(obs) = observer.as_mut() {
-                        Self::observe_layer(&mut **obs, l, &g);
-                    }
-                    layer_grads[l] = Some(g);
-                    dy = dx;
-                    acts[l] = None;
-                }
-            }
-        } else {
-            for l in (0..self.cfg.layers).rev() {
-                let lc = self.layer_ctx(l);
-                let (dx, g) = layer_bwd(
-                    tracer,
-                    &lc,
-                    &self.layers[l],
-                    acts[l].as_ref().expect("activations saved"),
-                    &dy,
-                )?;
-                if let Some(obs) = observer.as_mut() {
-                    Self::observe_layer(&mut **obs, l, &g);
-                }
-                layer_grads[l] = Some(g);
-                dy = dx;
-            }
-        }
-
-        // ---- Embedding backward ----
-        let emb_bwd = self.kctx("emb", Category::Embedding, Phase::Backward);
-        let d_normed =
-            bertscope_kernels::dropout::dropout_bwd(tracer, &emb_bwd, &emb_acts.drop, &dy)?;
-        let (d_sum2, d_emb_ln_gamma, d_emb_ln_beta) = layernorm_bwd(
-            tracer,
-            &emb_bwd,
-            &emb_acts.sum2,
-            &self.heads.emb_ln_gamma,
-            &emb_acts.ln_state,
-            &d_normed,
-        )?;
-        let mut d_word =
-            embedding_bwd(tracer, &emb_bwd, &[self.cfg.vocab, d], &batch.input_ids, &d_sum2)?;
-        let d_pos = embedding_bwd(
-            tracer,
-            &emb_bwd,
-            &[self.cfg.max_position, d],
-            &batch.position_ids,
-            &d_sum2,
-        )?;
-        let d_seg = embedding_bwd(tracer, &emb_bwd, &[2, d], &batch.segment_ids, &d_sum2)?;
-        // Tied decoder weight gradient accumulates into the word embedding.
-        d_word.axpy(1.0, &d_word_from_decoder)?;
-        // The embedding group retires last: the word-embedding gradient is
-        // only final after the tied-decoder fold above.
-        if let Some(obs) = observer.as_mut() {
-            obs.group_ready(0, &[&d_word, &d_pos, &d_seg, &d_emb_ln_gamma, &d_emb_ln_beta]);
-        }
-
+        let (out, layer_grads, head_grads) =
+            crate::graph::run_train_graph(self, tracer, batch, &mask, seed0, observer)?;
         self.layer_grads = layer_grads;
-        self.head_grads = Some(HeadGrads {
-            word_emb: d_word,
-            pos_emb: d_pos,
-            seg_emb: d_seg,
-            emb_ln_gamma: d_emb_ln_gamma,
-            emb_ln_beta: d_emb_ln_beta,
-            mlm_dense_w: d_mlm_dense_w,
-            mlm_dense_b: d_mlm_dense_b,
-            mlm_ln_gamma: d_mlm_ln_gamma,
-            mlm_ln_beta: d_mlm_ln_beta,
-            decoder_bias: d_decoder_bias,
-            pooler_w: d_pooler_w,
-            pooler_b: d_pooler_b,
-            cls_w: d_cls_w,
-            cls_b: d_cls_b,
-        });
-
-        Ok(StepOutput { loss: mlm_loss + nsp_loss, mlm_loss, nsp_loss })
+        self.head_grads = Some(head_grads);
+        Ok(out)
     }
 
     /// Forward-only evaluation pass (paper §7's inference mode): dropout
@@ -774,108 +445,7 @@ impl Bert {
     ///
     /// Propagates kernel shape errors.
     pub fn evaluate(&self, tracer: &mut Tracer, batch: &PretrainBatch) -> Result<EvalOutput> {
-        if self.opts.graph {
-            return self.evaluate_graph(tracer, batch);
-        }
-        let t = self.cfg.tokens();
-        let d = self.cfg.d_model;
-        // Embedding forward (dropout still launched, with p = 0).
-        let ctx = self.kctx("emb", Category::Embedding, Phase::Forward);
-        let word = embedding_fwd(tracer, &ctx, &self.heads.word_emb, &batch.input_ids)?;
-        let pos = embedding_fwd(tracer, &ctx, &self.heads.pos_emb, &batch.position_ids)?;
-        let seg = embedding_fwd(tracer, &ctx, &self.heads.seg_emb, &batch.segment_ids)?;
-        let sum1 = residual_add(tracer, &ctx, &word, &pos)?;
-        let sum2 = residual_add(tracer, &ctx, &sum1, &seg)?;
-        let (normed, _) = layernorm_fwd(
-            tracer,
-            &ctx,
-            &sum2,
-            &self.heads.emb_ln_gamma,
-            &self.heads.emb_ln_beta,
-            1e-5,
-        )?;
-        let (mut x, _) = bertscope_kernels::dropout::dropout_fwd(tracer, &ctx, &normed, 0.0, 0)?;
-        let mask = self.attention_mask(batch)?;
-        for l in 0..self.cfg.layers {
-            let mut lc = self.layer_ctx(l);
-            lc.dropout_p = 0.0;
-            lc.attn.dropout_p = 0.0;
-            let (y, _) = layer_fwd(tracer, &lc, &self.layers[l], &x, Some(&mask), 0)?;
-            x = y;
-        }
-        let seq_out = x;
-        // MLM head.
-        let out_ctx = self.kctx("mlm", Category::Output, Phase::Forward);
-        let mlm_h = linear_fwd(
-            tracer,
-            &self.kctx("mlm.dense", Category::Output, Phase::Forward),
-            &seq_out,
-            &self.heads.mlm_dense_w,
-            Some(&self.heads.mlm_dense_b),
-        )?;
-        let mlm_g = gelu_fwd(tracer, &out_ctx, &mlm_h)?;
-        let (mlm_n, _) = layernorm_fwd(
-            tracer,
-            &out_ctx,
-            &mlm_g,
-            &self.heads.mlm_ln_gamma,
-            &self.heads.mlm_ln_beta,
-            1e-5,
-        )?;
-        let logits = gemm_ep(
-            Transpose::No,
-            Transpose::Yes,
-            1.0,
-            &mlm_n,
-            &self.heads.word_emb,
-            0.0,
-            None,
-            GemmEpilogue::Bias(self.heads.decoder_bias.as_slice()),
-        )?;
-        {
-            let dec_ctx = self.kctx("mlm.decoder", Category::Output, Phase::Forward);
-            dec_ctx.trace_gemm_acc(
-                tracer,
-                "gemm",
-                GemmSpec::new(Transpose::No, Transpose::Yes, self.cfg.vocab, t, d)
-                    .with_epilogue(Epilogue::Bias),
-                AccessSet::new(
-                    &[
-                        mlm_n.buf_id(),
-                        self.heads.word_emb.buf_id(),
-                        self.heads.decoder_bias.buf_id(),
-                    ],
-                    &[logits.buf_id()],
-                ),
-            );
-        }
-        let xent_ctx = KernelCtx::new("mlm", Category::Output, Phase::Forward).dtype(DType::F32);
-        let (mlm_loss, _) = cross_entropy_fwd(tracer, &xent_ctx, &logits, &batch.mlm_targets)?;
-        let mlm_accuracy = top1_accuracy(&logits, self.cfg.vocab, &batch.mlm_targets);
-        // NSP head.
-        let cls_rows = self.gather_cls(tracer, &seq_out)?;
-        let nsp_ctx = self.kctx("nsp", Category::Output, Phase::Forward);
-        let pooled_pre = linear_fwd(
-            tracer,
-            &self.kctx("nsp.pooler", Category::Output, Phase::Forward),
-            &cls_rows,
-            &self.heads.pooler_w,
-            Some(&self.heads.pooler_b),
-        )?;
-        let pooled = tanh_fwd(tracer, &nsp_ctx, &pooled_pre)?;
-        let nsp_logits = linear_fwd(
-            tracer,
-            &self.kctx("nsp.classifier", Category::Output, Phase::Forward),
-            &pooled,
-            &self.heads.cls_w,
-            Some(&self.heads.cls_b),
-        )?;
-        let nsp_xent_ctx =
-            KernelCtx::new("nsp", Category::Output, Phase::Forward).dtype(DType::F32);
-        let (nsp_loss, _) =
-            cross_entropy_fwd(tracer, &nsp_xent_ctx, &nsp_logits, &batch.nsp_labels)?;
-        let nsp_accuracy = top1_accuracy(&nsp_logits, 2, &batch.nsp_labels);
-        Ok(EvalOutput { mlm_loss, nsp_loss, mlm_accuracy, nsp_accuracy })
+        crate::graph::run_eval_graph(self, tracer, batch)
     }
 
     /// Build the additive attention mask for a batch: padding visibility

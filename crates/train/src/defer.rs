@@ -33,7 +33,7 @@ use std::ops::Range;
 /// is final when reported (the tied decoder gradient is already folded
 /// into the word embedding's).
 ///
-/// `Send` is a supertrait: under whole-model graph execution
+/// `Send` is a supertrait: under scheduled execution
 /// (`TrainOptions::graph`) the observer fires from inside backward *tasks*
 /// running on pool threads — in the same deterministic retirement order,
 /// since the backward chain is serialized by its dataflow.

@@ -1,29 +1,37 @@
-//! Whole-model task-graph execution: the training step and the inference
-//! pass recorded as one dependence DAG per micro-step and executed through
-//! the operator-graph scheduler (`bertscope_tensor::sched`).
+//! The training step and the inference pass, described once. Each call
+//! records its whole computation — embeddings, every transformer layer,
+//! both output heads, the loss, the full backward chain, the
+//! gradient-observer boundaries — as one [`TaskGraph`]: named tasks with
+//! buffer provenance ([`AccessSet`]s over fresh dataflow tokens). The graph
+//! then runs one of two ways:
 //!
-//! The eager spine in [`crate::bert`] stays the reference semantics; this
-//! module *records* the same computation — embeddings, every transformer
-//! layer, both output heads, the loss, the full backward chain, the
-//! gradient-observer boundaries — as named tasks with buffer provenance
-//! ([`AccessSet`]s over fresh dataflow tokens), then hands the graph to
-//! [`TaskGraph::run`]. Three properties carry over by construction:
+//! * **Inline** (the default): [`TaskGraph::run_inline`] runs each task on
+//!   the calling thread in submission order, and kernels spread over the
+//!   whole worker pool. This is eager execution.
+//! * **Scheduled** ([`crate::TrainOptions::graph`]): [`TaskGraph::run`]
+//!   dispatches ready tasks onto the pool, each body internally serial, so
+//!   independent tasks retire concurrently.
 //!
-//! * **Bit identity.** Task bodies execute the *same* kernel calls the
-//!   eager path makes (the forward stages are literally shared functions,
-//!   [`crate::layer`]), each body runs internally serial, and values move
-//!   between tasks through rendezvous cells — so losses, gradients and the
-//!   merged trace are bit-identical to eager at any worker count.
+//! Four properties hold by construction:
+//!
+//! * **Bit identity.** Both executors run the same task bodies, values move
+//!   between tasks through rendezvous cells, and every kernel is
+//!   bit-identical at any pool size — so losses, gradients and the trace
+//!   are identical between the two modes at any worker count.
 //! * **Deterministic observer order.** The backward chain is serialized by
 //!   its `dy` dataflow, so gradient groups retire heads → layers (last to
-//!   first) → embeddings exactly as in eager execution, and
-//!   backward/AllReduce overlap ([`crate::defer`]) composes with inter-op
-//!   parallelism unchanged.
-//! * **Verified fusion.** With [`crate::TrainOptions::fuse`], the recorded
-//!   graph passes through [`TaskGraph::fuse`] before running; the merge is
-//!   legal only where the dependence DAG proves a sole-successor chain
-//!   (FC1→GeLU, residual→LayerNorm), which `bertscope-check`'s F-rules
-//!   re-verify independently.
+//!   first) → embeddings in both modes, and backward/AllReduce overlap
+//!   ([`crate::defer`]) composes with inter-op parallelism unchanged.
+//! * **Short lifetimes.** Most values pass through single-use cells that
+//!   their consumer empties, so they are freed when it retires. A
+//!   checkpointed segment's recompute reads the upstream gradient, so even
+//!   the scheduler cannot run it before backward reaches the segment.
+//! * **Verified fusion.** With [`crate::TrainOptions::fuse`], the
+//!   evaluation graph passes through [`TaskGraph::fuse`] before running;
+//!   the merge is legal only where the dependence DAG proves a
+//!   sole-successor chain (FC1→GeLU, residual→LayerNorm), which
+//!   `bertscope-check`'s F-rules re-verify independently. Training graphs
+//!   keep every intermediate alive for backward and are never fused.
 //!
 //! Task grain defaults to one task per model unit ([`TaskGrain::Layer`]);
 //! [`TaskGrain::Op`] splits each layer's *forward* into its stages, which
@@ -37,13 +45,12 @@ use crate::data::PretrainBatch;
 use crate::defer::GradObserver;
 use crate::layer::{
     layer_bwd, layer_fwd, stage_attn, stage_fc1, stage_fc2, stage_gelu, stage_ln1, stage_ln2,
-    stage_res1, stage_res2, LayerActivations, LayerCtx, LayerGrads,
+    stage_res1, stage_res2, LayerActivations, LayerGrads,
 };
 use bertscope_kernels::activation::{gelu_bwd, gelu_fwd, tanh_bwd, tanh_fwd};
 use bertscope_kernels::attention::AttentionState;
-use bertscope_kernels::dropout::{dropout_bwd, dropout_fwd, DropoutMask};
-use bertscope_kernels::elementwise::residual_add;
-use bertscope_kernels::embedding::{embedding_bwd, embedding_fwd};
+use bertscope_kernels::dropout::{dropout_bwd, DropoutMask};
+use bertscope_kernels::embedding::embedding_bwd;
 use bertscope_kernels::linear::{linear_bwd, linear_fwd};
 use bertscope_kernels::loss::{cross_entropy_bwd, cross_entropy_fwd, CrossEntropyState};
 use bertscope_kernels::norm::{layernorm_bwd, layernorm_fwd, LayerNormState};
@@ -126,19 +133,6 @@ fn guarded<'s>(
             err.set(e);
         }
     }
-}
-
-/// The layer context every graph task builds: nested kernel-group deferral
-/// is disabled (the whole-model graph subsumes the attention islands), and
-/// evaluation zeroes dropout exactly like the eager inference path.
-fn graph_layer_ctx(this: &Bert, l: usize, eval: bool) -> LayerCtx {
-    let mut lc = this.layer_ctx(l);
-    lc.attn.deferred = false;
-    if eval {
-        lc.dropout_p = 0.0;
-        lc.attn.dropout_p = 0.0;
-    }
-    lc
 }
 
 /// MLM-head forward results the MLM backward task consumes.
@@ -239,8 +233,8 @@ impl LayerPieces {
 }
 
 /// Record one layer's forward at op grain: a task per stage, in the exact
-/// order `layer_fwd` executes them, so the merged trace stays identical to
-/// eager. In training the final LayerNorm task also assembles the saved
+/// order `layer_fwd` executes them, so the trace stays identical to layer
+/// grain. In training the final LayerNorm task also assembles the saved
 /// [`LayerActivations`] from the stage cells — that assembly *reads* every
 /// stage output, which makes the intermediates multi-successor and lets the
 /// fusion legality check correctly refuse to merge them; the forward-only
@@ -264,7 +258,7 @@ fn submit_op_grain_layer<'s>(
         AccessSet::new(&[b_x[l]], &[p.b_attn]),
         guarded(err, move |tr| {
             let Some(x) = x_slots[l].get() else { return Ok(()) };
-            let lc = graph_layer_ctx(this, l, eval);
+            let lc = this.layer_ctx(l, eval);
             let (attn_out, state) = stage_attn(tr, &lc, &this.layers[l], &x, Some(mask), seed)?;
             p.attn_out.put(attn_out);
             p.attn_state.put(state);
@@ -277,7 +271,7 @@ fn submit_op_grain_layer<'s>(
         guarded(err, move |tr| {
             let Some(x) = x_slots[l].get() else { return Ok(()) };
             let Some(attn_out) = p.attn_out.take() else { return Ok(()) };
-            let lc = graph_layer_ctx(this, l, eval);
+            let lc = this.layer_ctx(l, eval);
             let (res1, drop) = stage_res1(tr, &lc, &x, &attn_out, seed)?;
             p.res1.put(res1);
             p.attn_drop.put(drop);
@@ -289,7 +283,7 @@ fn submit_op_grain_layer<'s>(
         AccessSet::new(&[p.b_res1], &[p.b_ln1]),
         guarded(err, move |tr| {
             let Some(res1) = p.res1.get() else { return Ok(()) };
-            let lc = graph_layer_ctx(this, l, eval);
+            let lc = this.layer_ctx(l, eval);
             let (ln1_out, state) = stage_ln1(tr, &lc, &this.layers[l], &res1)?;
             p.ln1_out.put(ln1_out);
             p.ln1_state.put(state);
@@ -303,7 +297,7 @@ fn submit_op_grain_layer<'s>(
         AccessSet::new(&[p.b_ln1], &fc1_writes),
         guarded(err, move |tr| {
             let Some(ln1_out) = p.ln1_out.get() else { return Ok(()) };
-            let lc = graph_layer_ctx(this, l, eval);
+            let lc = this.layer_ctx(l, eval);
             match stage_fc1(tr, &lc, &this.layers[l], &ln1_out)? {
                 (fc1_out, Some(gelu_out)) => {
                     p.fc1_out.put(fc1_out);
@@ -320,7 +314,7 @@ fn submit_op_grain_layer<'s>(
             AccessSet::new(&[p.b_fc1], &[p.b_gelu]),
             guarded(err, move |tr| {
                 let Some(fc1_out) = p.fc1_out.get() else { return Ok(()) };
-                let lc = graph_layer_ctx(this, l, eval);
+                let lc = this.layer_ctx(l, eval);
                 p.gelu_out.put(stage_gelu(tr, &lc, &fc1_out)?);
                 Ok(())
             }),
@@ -331,7 +325,7 @@ fn submit_op_grain_layer<'s>(
         AccessSet::new(&[p.b_gelu], &[p.b_fc2]),
         guarded(err, move |tr| {
             let Some(gelu_out) = p.gelu_out.get() else { return Ok(()) };
-            let lc = graph_layer_ctx(this, l, eval);
+            let lc = this.layer_ctx(l, eval);
             p.fc2_out.put(stage_fc2(tr, &lc, &this.layers[l], &gelu_out)?);
             Ok(())
         }),
@@ -342,7 +336,7 @@ fn submit_op_grain_layer<'s>(
         guarded(err, move |tr| {
             let Some(ln1_out) = p.ln1_out.get() else { return Ok(()) };
             let Some(fc2_out) = p.fc2_out.take() else { return Ok(()) };
-            let lc = graph_layer_ctx(this, l, eval);
+            let lc = this.layer_ctx(l, eval);
             let (res2, drop) = stage_res2(tr, &lc, &ln1_out, &fc2_out, seed)?;
             p.res2.put(res2);
             p.ffn_drop.put(drop);
@@ -366,7 +360,7 @@ fn submit_op_grain_layer<'s>(
         AccessSet::new(&ln2_reads, &ln2_writes),
         guarded(err, move |tr| {
             let Some(res2) = p.res2.take() else { return Ok(()) };
-            let lc = graph_layer_ctx(this, l, eval);
+            let lc = this.layer_ctx(l, eval);
             let (y, ln2) = stage_ln2(tr, &lc, &this.layers[l], &res2)?;
             if let Some(acts) = act_slot {
                 acts.put(LayerActivations {
@@ -386,6 +380,91 @@ fn submit_op_grain_layer<'s>(
             Ok(())
         }),
     );
+}
+
+/// MLM head forward on the sequence output: dense, GeLU, LayerNorm, the
+/// tied decoder GEMM and the loss. Returns the loss, the logits and what
+/// the MLM backward task consumes.
+fn mlm_head_fwd(
+    this: &Bert,
+    tr: &mut Tracer,
+    seq_out: &Tensor,
+    batch: &PretrainBatch,
+) -> Result<(f32, Tensor, MlmFwd)> {
+    let t = this.cfg.tokens();
+    let d = this.cfg.d_model;
+    let out_ctx = this.kctx("mlm", Category::Output, Phase::Forward);
+    let mlm_h = linear_fwd(
+        tr,
+        &this.kctx("mlm.dense", Category::Output, Phase::Forward),
+        seq_out,
+        &this.heads.mlm_dense_w,
+        Some(&this.heads.mlm_dense_b),
+    )?;
+    let mlm_g = gelu_fwd(tr, &out_ctx, &mlm_h)?;
+    let (mlm_n, ln_state) = layernorm_fwd(
+        tr,
+        &out_ctx,
+        &mlm_g,
+        &this.heads.mlm_ln_gamma,
+        &this.heads.mlm_ln_beta,
+        1e-5,
+    )?;
+    // Tied decoder: logits = x * W_word^T + b.
+    let logits = gemm_ep(
+        Transpose::No,
+        Transpose::Yes,
+        1.0,
+        &mlm_n,
+        &this.heads.word_emb,
+        0.0,
+        None,
+        GemmEpilogue::Bias(this.heads.decoder_bias.as_slice()),
+    )?;
+    this.kctx("mlm.decoder", Category::Output, Phase::Forward).trace_gemm_acc(
+        tr,
+        "gemm",
+        GemmSpec::new(Transpose::No, Transpose::Yes, this.cfg.vocab, t, d)
+            .with_epilogue(Epilogue::Bias),
+        AccessSet::new(
+            &[mlm_n.buf_id(), this.heads.word_emb.buf_id(), this.heads.decoder_bias.buf_id()],
+            &[logits.buf_id()],
+        ),
+    );
+    let xent_ctx = KernelCtx::new("mlm", Category::Output, Phase::Forward).dtype(DType::F32);
+    let (loss, xent) = cross_entropy_fwd(tr, &xent_ctx, &logits, &batch.mlm_targets)?;
+    Ok((loss, logits, MlmFwd { mlm_h, mlm_g, mlm_n, ln_state, xent }))
+}
+
+/// NSP head forward on the [CLS] rows: pooler, tanh, classifier and the
+/// loss. Returns the loss, the logits and what the NSP backward task
+/// consumes.
+fn nsp_head_fwd(
+    this: &Bert,
+    tr: &mut Tracer,
+    seq_out: &Tensor,
+    batch: &PretrainBatch,
+) -> Result<(f32, Tensor, NspFwd)> {
+    let nsp_ctx = this.kctx("nsp", Category::Output, Phase::Forward);
+    let cls_rows = this.gather_cls(tr, seq_out)?;
+    let pooled_pre = linear_fwd(
+        tr,
+        &this.kctx("nsp.pooler", Category::Output, Phase::Forward),
+        &cls_rows,
+        &this.heads.pooler_w,
+        Some(&this.heads.pooler_b),
+    )?;
+    let pooled = tanh_fwd(tr, &nsp_ctx, &pooled_pre)?;
+    let logits = linear_fwd(
+        tr,
+        &this.kctx("nsp.classifier", Category::Output, Phase::Forward),
+        &pooled,
+        &this.heads.cls_w,
+        Some(&this.heads.cls_b),
+    )?;
+    let xent_ctx = KernelCtx::new("nsp", Category::Output, Phase::Forward).dtype(DType::F32);
+    let (loss, xent) = cross_entropy_fwd(tr, &xent_ctx, &logits, &batch.nsp_labels)?;
+    Ok((loss, logits, NspFwd { cls_rows, pooled, xent }))
 }
 
 /// Rendezvous cells and dataflow tokens for one recorded training step.
@@ -460,51 +539,6 @@ impl TrainStorage {
 }
 
 impl Bert {
-    /// Graph-mode [`Bert::train_step_observed`]: record the full step as a
-    /// task graph and execute it through the operator-graph scheduler.
-    pub(crate) fn train_step_graph(
-        &mut self,
-        tracer: &mut Tracer,
-        batch: &PretrainBatch,
-        observer: Option<&mut dyn GradObserver>,
-    ) -> Result<StepOutput> {
-        self.step += 1;
-        let seed0 = self.step * 1_000_003;
-        // The mask is untraced constant data (same as eager, where
-        // `attention_mask` records nothing): compute it before recording.
-        let mask = self.attention_mask(batch)?;
-        let (out, layer_grads, head_grads) =
-            run_train_graph(self, tracer, batch, &mask, seed0, observer)?;
-        self.layer_grads = layer_grads;
-        self.head_grads = Some(head_grads);
-        Ok(out)
-    }
-
-    /// Graph-mode [`Bert::evaluate`]: the forward-only pass recorded as a
-    /// task graph, with the fusion pass applied when
-    /// [`crate::TrainOptions::fuse`] is set.
-    pub(crate) fn evaluate_graph(
-        &self,
-        tracer: &mut Tracer,
-        batch: &PretrainBatch,
-    ) -> Result<EvalOutput> {
-        let mask = self.attention_mask(batch)?;
-        let st = EvalStorage::new(self);
-        let graph = build_eval_graph(self, batch, &mask, &st);
-        let _report = if self.opts.fuse {
-            let (fused, _plan) = graph.fuse(&fusion_patterns());
-            fused.run(tracer)
-        } else {
-            graph.run(tracer)
-        };
-        if let Some(e) = st.err.take() {
-            return Err(e);
-        }
-        let (mlm_loss, mlm_accuracy) = st.mlm_out.take().expect("mlm head retired");
-        let (nsp_loss, nsp_accuracy) = st.nsp_out.take().expect("nsp head retired");
-        Ok(EvalOutput { mlm_loss, nsp_loss, mlm_accuracy, nsp_accuracy })
-    }
-
     /// Record the forward-only graph for `batch` and plan — without
     /// executing any kernel — which task pairs the fusion pass would merge.
     /// This is the inspection surface the fusion tests and benchmarks pin:
@@ -523,11 +557,41 @@ impl Bert {
     }
 }
 
-/// Record and run the whole-model training graph. Shared-borrows the model
-/// throughout (task bodies capture `&Bert`); the caller applies the
-/// returned gradients to the model afterwards.
+/// Run a recorded graph: on the scheduler under
+/// [`crate::TrainOptions::graph`], otherwise inline.
+fn execute(this: &Bert, graph: TaskGraph<'_>, tracer: &mut Tracer) {
+    if this.opts.graph {
+        graph.run(tracer);
+    } else {
+        graph.run_inline(tracer);
+    }
+}
+
+/// Record and run the forward-only evaluation graph ([`Bert::evaluate`]),
+/// fused first when [`crate::TrainOptions::fuse`] is set.
+pub(crate) fn run_eval_graph(
+    this: &Bert,
+    tracer: &mut Tracer,
+    batch: &PretrainBatch,
+) -> Result<EvalOutput> {
+    let mask = this.attention_mask(batch)?;
+    let st = EvalStorage::new(this);
+    let graph = build_eval_graph(this, batch, &mask, &st);
+    let graph = if this.opts.fuse { graph.fuse(&fusion_patterns()).0 } else { graph };
+    execute(this, graph, tracer);
+    if let Some(e) = st.err.take() {
+        return Err(e);
+    }
+    let (mlm_loss, mlm_accuracy) = st.mlm_out.take().expect("mlm head retired");
+    let (nsp_loss, nsp_accuracy) = st.nsp_out.take().expect("nsp head retired");
+    Ok(EvalOutput { mlm_loss, nsp_loss, mlm_accuracy, nsp_accuracy })
+}
+
+/// Record and run the training graph ([`Bert::train_step_observed`]).
+/// Shared-borrows the model throughout (task bodies capture `&Bert`); the
+/// caller applies the returned gradients to the model afterwards.
 #[allow(clippy::too_many_lines)]
-fn run_train_graph(
+pub(crate) fn run_train_graph(
     this: &Bert,
     tracer: &mut Tracer,
     batch: &PretrainBatch,
@@ -555,7 +619,7 @@ fn run_train_graph(
         "fwd.emb",
         AccessSet::new(&[], &[st.b_x[0], st.b_emb_acts]),
         guarded(err, move |tr| {
-            let (x0, ea) = this.embedding_fwd_pass(tr, batch, seed0)?;
+            let (x0, ea) = this.embedding_fwd_pass(tr, batch, this.opts.dropout_p, seed0)?;
             st.x[0].put(x0);
             st.emb_acts.put(ea);
             Ok(())
@@ -594,7 +658,7 @@ fn run_train_graph(
                 if boundary {
                     st.segs[l / per_seg].put(x.clone());
                 }
-                let lc = graph_layer_ctx(this, l, false);
+                let lc = this.layer_ctx(l, false);
                 let (y, a) = layer_fwd(tr, &lc, &this.layers[l], &x, Some(mask), seed0 + l as u64)?;
                 if !checkpoint {
                     st.acts[l].put(a);
@@ -611,57 +675,9 @@ fn run_train_graph(
         AccessSet::new(&[st.b_x[layers]], &[st.b_mlm]),
         guarded(err, move |tr| {
             let Some(seq_out) = st.x[layers].get() else { return Ok(()) };
-            let t = this.cfg.tokens();
-            let d = this.cfg.d_model;
-            let out_ctx = this.kctx("mlm", Category::Output, Phase::Forward);
-            let mlm_h = linear_fwd(
-                tr,
-                &this.kctx("mlm.dense", Category::Output, Phase::Forward),
-                &seq_out,
-                &this.heads.mlm_dense_w,
-                Some(&this.heads.mlm_dense_b),
-            )?;
-            let mlm_g = gelu_fwd(tr, &out_ctx, &mlm_h)?;
-            let (mlm_n, ln_state) = layernorm_fwd(
-                tr,
-                &out_ctx,
-                &mlm_g,
-                &this.heads.mlm_ln_gamma,
-                &this.heads.mlm_ln_beta,
-                1e-5,
-            )?;
-            let logits = gemm_ep(
-                Transpose::No,
-                Transpose::Yes,
-                1.0,
-                &mlm_n,
-                &this.heads.word_emb,
-                0.0,
-                None,
-                GemmEpilogue::Bias(this.heads.decoder_bias.as_slice()),
-            )?;
-            {
-                let dec_ctx = this.kctx("mlm.decoder", Category::Output, Phase::Forward);
-                dec_ctx.trace_gemm_acc(
-                    tr,
-                    "gemm",
-                    GemmSpec::new(Transpose::No, Transpose::Yes, this.cfg.vocab, t, d)
-                        .with_epilogue(Epilogue::Bias),
-                    AccessSet::new(
-                        &[
-                            mlm_n.buf_id(),
-                            this.heads.word_emb.buf_id(),
-                            this.heads.decoder_bias.buf_id(),
-                        ],
-                        &[logits.buf_id()],
-                    ),
-                );
-            }
-            let xent_ctx =
-                KernelCtx::new("mlm", Category::Output, Phase::Forward).dtype(DType::F32);
-            let (mlm_loss, xent) = cross_entropy_fwd(tr, &xent_ctx, &logits, &batch.mlm_targets)?;
-            st.loss_mlm.put(mlm_loss);
-            st.mlm_fwd.put(MlmFwd { mlm_h, mlm_g, mlm_n, ln_state, xent });
+            let (loss, _, fwd) = mlm_head_fwd(this, tr, &seq_out, batch)?;
+            st.loss_mlm.put(loss);
+            st.mlm_fwd.put(fwd);
             Ok(())
         }),
     );
@@ -670,34 +686,14 @@ fn run_train_graph(
         AccessSet::new(&[st.b_x[layers]], &[st.b_nsp]),
         guarded(err, move |tr| {
             let Some(seq_out) = st.x[layers].get() else { return Ok(()) };
-            let nsp_ctx = this.kctx("nsp", Category::Output, Phase::Forward);
-            let cls_rows = this.gather_cls(tr, &seq_out)?;
-            let pooled_pre = linear_fwd(
-                tr,
-                &this.kctx("nsp.pooler", Category::Output, Phase::Forward),
-                &cls_rows,
-                &this.heads.pooler_w,
-                Some(&this.heads.pooler_b),
-            )?;
-            let pooled = tanh_fwd(tr, &nsp_ctx, &pooled_pre)?;
-            let nsp_logits = linear_fwd(
-                tr,
-                &this.kctx("nsp.classifier", Category::Output, Phase::Forward),
-                &pooled,
-                &this.heads.cls_w,
-                Some(&this.heads.cls_b),
-            )?;
-            let nsp_xent_ctx =
-                KernelCtx::new("nsp", Category::Output, Phase::Forward).dtype(DType::F32);
-            let (nsp_loss, xent) =
-                cross_entropy_fwd(tr, &nsp_xent_ctx, &nsp_logits, &batch.nsp_labels)?;
-            st.loss_nsp.put(nsp_loss);
-            st.nsp_fwd.put(NspFwd { cls_rows, pooled, xent });
+            let (loss, _, fwd) = nsp_head_fwd(this, tr, &seq_out, batch)?;
+            st.loss_nsp.put(loss);
+            st.nsp_fwd.put(fwd);
             Ok(())
         }),
     );
 
-    // ---- Backward: heads (NSP first, as in eager program order) ----
+    // ---- Backward: heads (NSP first) ----
     graph.submit(
         "bwd.heads.nsp",
         AccessSet::new(&[st.b_nsp], &[st.b_nsp_bwd]),
@@ -832,7 +828,7 @@ fn run_train_graph(
                 d_cls_w: nsp.d_cls_w,
                 d_cls_b: nsp.d_cls_b,
             };
-            // The heads group retires here — first, exactly as in eager.
+            // The heads group retires here, first.
             if let Some(o) = obs.lock().expect("observer cell poisoned").as_deref_mut() {
                 o.group_ready(
                     5 + this.cfg.layers * 16,
@@ -868,7 +864,7 @@ fn run_train_graph(
                 guarded(err, move |tr| {
                     let Some(a) = st.acts[l].take() else { return Ok(()) };
                     let Some(dy) = st.dy[l + 1].take() else { return Ok(()) };
-                    let lc = graph_layer_ctx(this, l, false);
+                    let lc = this.layer_ctx(l, false);
                     let (dx, g) = layer_bwd(tr, &lc, &this.layers[l], &a, &dy)?;
                     if let Some(o) = obs.lock().expect("observer cell poisoned").as_deref_mut() {
                         Bert::observe_layer(o, l, &g);
@@ -887,14 +883,17 @@ fn run_train_graph(
             let end = (start + per_seg).min(layers);
             let seg = start / per_seg;
             let writes: Vec<BufId> = (start..end).map(|l| st.b_act[l]).collect();
+            // Reading the segment's upstream gradient holds the recompute
+            // back until backward reaches the segment, so its activations
+            // are never live longer than they are needed.
             graph.submit(
                 format!("bwd.recompute.s{start}"),
-                AccessSet::new(&[st.b_seg[seg]], &writes),
+                AccessSet::new(&[st.b_seg[seg], st.b_dy[end]], &writes),
                 guarded(err, move |tr| {
                     let Some(mut xin) = st.segs[seg].take() else { return Ok(()) };
                     let mut tmp = Tracer::new();
                     for l in start..end {
-                        let lc = graph_layer_ctx(this, l, false);
+                        let lc = this.layer_ctx(l, false);
                         let (y, a) = layer_fwd(
                             &mut tmp,
                             &lc,
@@ -961,16 +960,7 @@ fn run_train_graph(
         }),
     );
 
-    // ---- Execute ----
-    let _report = if this.opts.fuse {
-        // Training graphs have no legally fusable pairs (backward keeps
-        // every intermediate multi-successor), but routing through the
-        // planner keeps the code path uniform and exercised.
-        let (fused, _plan) = graph.fuse(&fusion_patterns());
-        fused.run(tracer)
-    } else {
-        graph.run(tracer)
-    };
+    execute(this, graph, tracer);
 
     if let Some(e) = st.err.take() {
         return Err(e);
@@ -1032,8 +1022,7 @@ impl EvalStorage {
     }
 }
 
-/// Record the forward-only graph (dropout disabled, no activations saved),
-/// mirroring the eager `evaluate` kernel sequence exactly.
+/// Record the forward-only graph (dropout disabled, no activations saved).
 fn build_eval_graph<'s>(
     this: &'s Bert,
     batch: &'s PretrainBatch,
@@ -1047,21 +1036,7 @@ fn build_eval_graph<'s>(
         "fwd.emb",
         AccessSet::new(&[], &[st.b_x[0]]),
         guarded(err, move |tr| {
-            let ctx = this.kctx("emb", Category::Embedding, Phase::Forward);
-            let word = embedding_fwd(tr, &ctx, &this.heads.word_emb, &batch.input_ids)?;
-            let pos = embedding_fwd(tr, &ctx, &this.heads.pos_emb, &batch.position_ids)?;
-            let seg = embedding_fwd(tr, &ctx, &this.heads.seg_emb, &batch.segment_ids)?;
-            let sum1 = residual_add(tr, &ctx, &word, &pos)?;
-            let sum2 = residual_add(tr, &ctx, &sum1, &seg)?;
-            let (normed, _) = layernorm_fwd(
-                tr,
-                &ctx,
-                &sum2,
-                &this.heads.emb_ln_gamma,
-                &this.heads.emb_ln_beta,
-                1e-5,
-            )?;
-            let (x0, _) = dropout_fwd(tr, &ctx, &normed, 0.0, 0)?;
+            let (x0, _) = this.embedding_fwd_pass(tr, batch, 0.0, 0)?;
             st.x[0].put(x0);
             Ok(())
         }),
@@ -1088,7 +1063,7 @@ fn build_eval_graph<'s>(
             AccessSet::new(&[st.b_x[l]], &[st.b_x[l + 1]]),
             guarded(err, move |tr| {
                 let Some(x) = st.x[l].get() else { return Ok(()) };
-                let lc = graph_layer_ctx(this, l, true);
+                let lc = this.layer_ctx(l, true);
                 let (y, _) = layer_fwd(tr, &lc, &this.layers[l], &x, Some(mask), 0)?;
                 st.x[l + 1].put(y);
                 Ok(())
@@ -1100,57 +1075,8 @@ fn build_eval_graph<'s>(
         AccessSet::new(&[st.b_x[layers]], &[st.b_mlm]),
         guarded(err, move |tr| {
             let Some(seq_out) = st.x[layers].get() else { return Ok(()) };
-            let t = this.cfg.tokens();
-            let d = this.cfg.d_model;
-            let out_ctx = this.kctx("mlm", Category::Output, Phase::Forward);
-            let mlm_h = linear_fwd(
-                tr,
-                &this.kctx("mlm.dense", Category::Output, Phase::Forward),
-                &seq_out,
-                &this.heads.mlm_dense_w,
-                Some(&this.heads.mlm_dense_b),
-            )?;
-            let mlm_g = gelu_fwd(tr, &out_ctx, &mlm_h)?;
-            let (mlm_n, _) = layernorm_fwd(
-                tr,
-                &out_ctx,
-                &mlm_g,
-                &this.heads.mlm_ln_gamma,
-                &this.heads.mlm_ln_beta,
-                1e-5,
-            )?;
-            let logits = gemm_ep(
-                Transpose::No,
-                Transpose::Yes,
-                1.0,
-                &mlm_n,
-                &this.heads.word_emb,
-                0.0,
-                None,
-                GemmEpilogue::Bias(this.heads.decoder_bias.as_slice()),
-            )?;
-            {
-                let dec_ctx = this.kctx("mlm.decoder", Category::Output, Phase::Forward);
-                dec_ctx.trace_gemm_acc(
-                    tr,
-                    "gemm",
-                    GemmSpec::new(Transpose::No, Transpose::Yes, this.cfg.vocab, t, d)
-                        .with_epilogue(Epilogue::Bias),
-                    AccessSet::new(
-                        &[
-                            mlm_n.buf_id(),
-                            this.heads.word_emb.buf_id(),
-                            this.heads.decoder_bias.buf_id(),
-                        ],
-                        &[logits.buf_id()],
-                    ),
-                );
-            }
-            let xent_ctx =
-                KernelCtx::new("mlm", Category::Output, Phase::Forward).dtype(DType::F32);
-            let (mlm_loss, _) = cross_entropy_fwd(tr, &xent_ctx, &logits, &batch.mlm_targets)?;
-            let acc = top1_accuracy(&logits, this.cfg.vocab, &batch.mlm_targets);
-            st.mlm_out.put((mlm_loss, acc));
+            let (loss, logits, _) = mlm_head_fwd(this, tr, &seq_out, batch)?;
+            st.mlm_out.put((loss, top1_accuracy(&logits, this.cfg.vocab, &batch.mlm_targets)));
             Ok(())
         }),
     );
@@ -1159,29 +1085,8 @@ fn build_eval_graph<'s>(
         AccessSet::new(&[st.b_x[layers]], &[st.b_nsp]),
         guarded(err, move |tr| {
             let Some(seq_out) = st.x[layers].get() else { return Ok(()) };
-            let cls_rows = this.gather_cls(tr, &seq_out)?;
-            let nsp_ctx = this.kctx("nsp", Category::Output, Phase::Forward);
-            let pooled_pre = linear_fwd(
-                tr,
-                &this.kctx("nsp.pooler", Category::Output, Phase::Forward),
-                &cls_rows,
-                &this.heads.pooler_w,
-                Some(&this.heads.pooler_b),
-            )?;
-            let pooled = tanh_fwd(tr, &nsp_ctx, &pooled_pre)?;
-            let nsp_logits = linear_fwd(
-                tr,
-                &this.kctx("nsp.classifier", Category::Output, Phase::Forward),
-                &pooled,
-                &this.heads.cls_w,
-                Some(&this.heads.cls_b),
-            )?;
-            let nsp_xent_ctx =
-                KernelCtx::new("nsp", Category::Output, Phase::Forward).dtype(DType::F32);
-            let (nsp_loss, _) =
-                cross_entropy_fwd(tr, &nsp_xent_ctx, &nsp_logits, &batch.nsp_labels)?;
-            let acc = top1_accuracy(&nsp_logits, 2, &batch.nsp_labels);
-            st.nsp_out.put((nsp_loss, acc));
+            let (loss, logits, _) = nsp_head_fwd(this, tr, &seq_out, batch)?;
+            st.nsp_out.put((loss, top1_accuracy(&logits, 2, &batch.nsp_labels)));
             Ok(())
         }),
     );
@@ -1210,58 +1115,53 @@ mod tests {
     }
 
     #[test]
-    fn graph_step_is_bit_identical_to_eager() {
+    fn scheduled_step_is_bit_identical_to_inline() {
         for grain in [TaskGrain::Layer, TaskGrain::Op] {
-            let (mut eager, batch) = setup(TrainOptions::default());
-            let (mut graphed, _) =
+            let (mut inline, batch) = setup(TrainOptions { grain, ..TrainOptions::default() });
+            let (mut scheduled, _) =
                 setup(TrainOptions { graph: true, grain, ..TrainOptions::default() });
             let mut tr = Tracer::disabled();
-            let oe = eager.train_step(&mut tr, &batch).unwrap();
-            let og = graphed.train_step(&mut tr, &batch).unwrap();
-            assert_eq!(oe.loss.to_bits(), og.loss.to_bits(), "{grain:?}");
-            assert_eq!(oe.mlm_loss.to_bits(), og.mlm_loss.to_bits());
-            assert_eq!(oe.nsp_loss.to_bits(), og.nsp_loss.to_bits());
-            let (ge, gg) = (grads_of(&mut eager), grads_of(&mut graphed));
-            for (a, b) in ge.iter().zip(&gg) {
+            let oi = inline.train_step(&mut tr, &batch).unwrap();
+            let os = scheduled.train_step(&mut tr, &batch).unwrap();
+            assert_eq!(oi.loss.to_bits(), os.loss.to_bits(), "{grain:?}");
+            assert_eq!(oi.mlm_loss.to_bits(), os.mlm_loss.to_bits());
+            assert_eq!(oi.nsp_loss.to_bits(), os.nsp_loss.to_bits());
+            let (gi, gs) = (grads_of(&mut inline), grads_of(&mut scheduled));
+            for (a, b) in gi.iter().zip(&gs) {
                 assert_eq!(a.as_slice(), b.as_slice(), "{grain:?} gradient mismatch");
             }
         }
     }
 
     #[test]
-    fn checkpointed_graph_step_matches_eager_checkpointed() {
+    fn checkpointed_scheduled_step_matches_inline_checkpointed() {
         let opts = TrainOptions { checkpoint: true, ..TrainOptions::default() };
-        let (mut eager, batch) = setup(opts);
+        let (mut inline, batch) = setup(opts);
         // Op grain is requested but checkpointing forces layer grain.
-        let (mut graphed, _) = setup(TrainOptions {
-            graph: true,
-            grain: TaskGrain::Op,
-            checkpoint: true,
-            ..TrainOptions::default()
-        });
-        let mut tr_e = Tracer::new();
-        let mut tr_g = Tracer::new();
-        let oe = eager.train_step(&mut tr_e, &batch).unwrap();
-        let og = graphed.train_step(&mut tr_g, &batch).unwrap();
-        assert_eq!(oe.loss.to_bits(), og.loss.to_bits());
-        assert_eq!(tr_e.kernel_count(), tr_g.kernel_count());
-        assert!(tr_g.records().iter().any(|r| r.phase == Phase::Recompute));
-        for (a, b) in grads_of(&mut eager).iter().zip(&grads_of(&mut graphed)) {
+        let (mut scheduled, _) = setup(TrainOptions { graph: true, grain: TaskGrain::Op, ..opts });
+        let mut tr_i = Tracer::new();
+        let mut tr_s = Tracer::new();
+        let oi = inline.train_step(&mut tr_i, &batch).unwrap();
+        let os = scheduled.train_step(&mut tr_s, &batch).unwrap();
+        assert_eq!(oi.loss.to_bits(), os.loss.to_bits());
+        assert_eq!(tr_i.kernel_count(), tr_s.kernel_count());
+        assert!(tr_s.records().iter().any(|r| r.phase == Phase::Recompute));
+        for (a, b) in grads_of(&mut inline).iter().zip(&grads_of(&mut scheduled)) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
     }
 
     #[test]
-    fn graph_evaluate_matches_eager_with_and_without_fusion() {
-        let (eager, batch) = setup(TrainOptions::default());
+    fn scheduled_evaluate_matches_inline_with_and_without_fusion() {
+        let (inline, batch) = setup(TrainOptions::default());
         let mut tr = Tracer::disabled();
-        let base = eager.evaluate(&mut tr, &batch).unwrap();
+        let base = inline.evaluate(&mut tr, &batch).unwrap();
         for (grain, fuse) in
             [(TaskGrain::Layer, false), (TaskGrain::Op, false), (TaskGrain::Op, true)]
         {
-            let (graphed, _) =
+            let (scheduled, _) =
                 setup(TrainOptions { graph: true, grain, fuse, ..TrainOptions::default() });
-            let out = graphed.evaluate(&mut tr, &batch).unwrap();
+            let out = scheduled.evaluate(&mut tr, &batch).unwrap();
             assert_eq!(base.mlm_loss.to_bits(), out.mlm_loss.to_bits(), "{grain:?} fuse={fuse}");
             assert_eq!(base.nsp_loss.to_bits(), out.nsp_loss.to_bits());
             assert_eq!(base.mlm_accuracy.to_bits(), out.mlm_accuracy.to_bits());
@@ -1289,7 +1189,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_mode_observer_order_matches_eager() {
+    fn scheduled_observer_order_matches_inline() {
         #[derive(Default)]
         struct Record(Vec<usize>);
         impl GradObserver for Record {
@@ -1297,14 +1197,14 @@ mod tests {
                 self.0.push(base_slot);
             }
         }
-        let (mut eager, batch) = setup(TrainOptions::default());
-        let (mut graphed, _) = setup(TrainOptions { graph: true, ..TrainOptions::default() });
+        let (mut inline, batch) = setup(TrainOptions::default());
+        let (mut scheduled, _) = setup(TrainOptions { graph: true, ..TrainOptions::default() });
         let mut tr = Tracer::disabled();
-        let mut oe = Record::default();
-        let mut og = Record::default();
-        eager.train_step_observed(&mut tr, &batch, Some(&mut oe)).unwrap();
-        graphed.train_step_observed(&mut tr, &batch, Some(&mut og)).unwrap();
-        assert!(!oe.0.is_empty());
-        assert_eq!(oe.0, og.0, "group retirement order must match eager");
+        let mut oi = Record::default();
+        let mut os = Record::default();
+        inline.train_step_observed(&mut tr, &batch, Some(&mut oi)).unwrap();
+        scheduled.train_step_observed(&mut tr, &batch, Some(&mut os)).unwrap();
+        assert!(!oi.0.is_empty());
+        assert_eq!(oi.0, os.0, "group retirement order must match inline");
     }
 }

@@ -37,7 +37,6 @@ impl LayerCtx {
         dropout_p: f32,
         fused_qkv: bool,
         fused_epilogue: bool,
-        deferred: bool,
     ) -> Self {
         LayerCtx {
             attn: AttentionConfig {
@@ -48,7 +47,7 @@ impl LayerCtx {
                 dropout_p,
                 fused_qkv,
                 fused_epilogue,
-                deferred,
+                deferred: false,
                 dtype,
                 layer,
             },
@@ -162,7 +161,7 @@ pub struct LayerGrads {
 }
 
 /// Saved activations for the backward pass. Fields are crate-visible so
-/// the whole-model graph recorder (`crate::graph`) can assemble them from
+/// the step recorder (`crate::graph`) can assemble them from
 /// per-op-grain stage tasks.
 #[derive(Debug, Clone)]
 pub struct LayerActivations {
@@ -180,9 +179,10 @@ pub struct LayerActivations {
 
 // ---- Forward stages ----
 //
-// `layer_fwd` and the whole-model graph recorder (`crate::graph`, per-op
-// task grain) both execute the forward pass through these stage functions,
-// so the two spines emit one and the same kernel sequence by construction.
+// Layer-grain tasks (`layer_fwd`) and op-grain tasks in the step recorder
+// (`crate::graph`) both execute the forward pass through these stage
+// functions, so both grains emit one and the same kernel sequence by
+// construction.
 
 /// Self-attention sub-layer.
 pub(crate) fn stage_attn(
@@ -392,7 +392,7 @@ mod tests {
 
     fn setup() -> (BertConfig, LayerCtx, LayerParams, Tensor) {
         let cfg = BertConfig::tiny();
-        let lc = LayerCtx::new(&cfg, 0, DType::F32, 0.0, false, false, false);
+        let lc = LayerCtx::new(&cfg, 0, DType::F32, 0.0, false, false);
         let mut rng = StdRng::seed_from_u64(42);
         let p = LayerParams::init(&mut rng, &cfg);
         let x = randn(&mut rng, &[cfg.tokens(), cfg.d_model], 1.0);
@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn fused_epilogue_layer_matches_unfused_bitwise_with_fewer_kernels() {
         let (cfg, lc, p, x) = setup();
-        let lc_fused = LayerCtx::new(&cfg, 0, DType::F32, 0.0, false, true, false);
+        let lc_fused = LayerCtx::new(&cfg, 0, DType::F32, 0.0, false, true);
         let mask = {
             let mut rng = StdRng::seed_from_u64(9);
             randn(&mut rng, &[cfg.batch * cfg.heads, cfg.seq_len, cfg.seq_len], 1.0)
@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn half_precision_layer_runs_and_stays_finite() {
         let (cfg, _, p, x) = setup();
-        let lc = LayerCtx::new(&cfg, 0, DType::F16, 0.0, false, false, false);
+        let lc = LayerCtx::new(&cfg, 0, DType::F16, 0.0, false, false);
         let p16 = p.to_dtype(DType::F16);
         let x16 = x.to_dtype(DType::F16);
         let mut tr = Tracer::new();

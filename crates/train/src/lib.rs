@@ -2,7 +2,9 @@
 //!
 //! This crate *runs* BERT pre-training — the paper's workload — on the
 //! pure-Rust kernel substrate: synthetic MLM/NSP data ([`data`]), the full
-//! model with hand-derived backprop ([`bert`], [`layer`]), and the LAMB /
+//! model with hand-derived backprop ([`bert`], [`layer`]) whose every step
+//! is recorded once as a task graph and run inline or on the scheduler
+//! ([`graph`]), and the LAMB /
 //! Adam / SGD optimizers ([`optim`]), including mixed precision with loss
 //! scaling and f32 master weights, fused-QKV execution, and activation
 //! checkpointing with real recomputation.

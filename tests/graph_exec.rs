@@ -1,14 +1,17 @@
-//! Whole-model task-graph execution, verified from the outside: recording
-//! the full training step (and the inference pass) as a scheduled DAG must
-//! change *when* work runs, never *what* it computes — at any worker
-//! count, at either task grain, and with the fusion pass on.
+//! The recorded step, verified from the outside: every training step (and
+//! inference pass) is recorded as a task graph, and running that graph on
+//! the scheduler instead of inline (eager) must change *when* work runs,
+//! never *what* it computes — at any worker count, at either task grain,
+//! checkpointed, and with the fusion pass on.
 //!
 //! The fusion pass itself is pinned through `Bert::plan_eval_fusion`: at
 //! op grain the plan must merge both legal patterns (FC1→GeLU and
-//! residual→LayerNorm), and at layer grain it must merge nothing.
+//! residual→LayerNorm), and at layer grain it must merge nothing. The
+//! scheduler's checkpointed backward is pinned through its captured run
+//! reports: no segment recomputes before backward reaches it.
 
 use bertscope_model::BertConfig;
-use bertscope_tensor::{pool, Tracer};
+use bertscope_tensor::{pool, sched, Tracer};
 use bertscope_train::{Bert, Lamb, SyntheticCorpus, TaskGrain, TrainOptions, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,20 +59,20 @@ fn run_training(cfg: BertConfig, opts: TrainOptions) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// The tentpole bit-identity claim: for two configurations, the micro-step
-/// driven through the whole-model task graph (Trainer + LAMB included)
-/// leaves exactly the losses and parameter bits of the eager 1-thread
-/// reference, at 1, 2 and 8 worker threads.
+/// run on the scheduler (Trainer + LAMB included) leaves exactly the
+/// losses and parameter bits of the inline (eager) 1-thread reference, at
+/// 1, 2 and 8 worker threads.
 #[test]
 fn graph_training_is_bit_identical_to_eager_across_threads_and_configs() {
     for cfg in configs() {
         let base = pool::with_threads(1, || run_training(cfg, TrainOptions::default()));
         for threads in [1usize, 2, 8] {
-            let graphed = pool::with_threads(threads, || {
+            let scheduled = pool::with_threads(threads, || {
                 run_training(cfg, TrainOptions { graph: true, ..TrainOptions::default() })
             });
             assert_eq!(
-                graphed, base,
-                "graph-mode training diverged from eager at {threads} threads \
+                scheduled, base,
+                "scheduled training diverged from inline at {threads} threads \
                  ({} layers, d_model {})",
                 cfg.layers, cfg.d_model
             );
@@ -78,52 +81,100 @@ fn graph_training_is_bit_identical_to_eager_across_threads_and_configs() {
 }
 
 /// Op-grain recording (one task per forward stage) computes the same bits
-/// as eager; checkpointing composes too (it forces layer grain for the
-/// recompute segments).
+/// on the scheduler as inline; checkpointing composes too (it forces layer
+/// grain for the recompute segments).
 #[test]
 fn op_grain_and_checkpointed_graph_training_match_eager() {
     let cfg = BertConfig::tiny();
     let variants = [
-        TrainOptions { graph: true, grain: TaskGrain::Op, ..TrainOptions::default() },
-        TrainOptions { graph: true, checkpoint: true, ..TrainOptions::default() },
+        TrainOptions { grain: TaskGrain::Op, ..TrainOptions::default() },
+        TrainOptions { checkpoint: true, ..TrainOptions::default() },
     ];
-    let eager_plain = pool::with_threads(1, || run_training(cfg, TrainOptions::default()));
-    let eager_ckpt = pool::with_threads(1, || {
-        run_training(cfg, TrainOptions { checkpoint: true, ..TrainOptions::default() })
-    });
     for opts in variants {
-        let reference = if opts.checkpoint { &eager_ckpt } else { &eager_plain };
+        // The reference is the inline run at the default (layer) grain.
+        let plain = TrainOptions { checkpoint: opts.checkpoint, ..TrainOptions::default() };
+        let reference = pool::with_threads(1, || run_training(cfg, plain));
         for threads in [1usize, 2, 8] {
-            let graphed = pool::with_threads(threads, || run_training(cfg, opts));
+            let scheduled = pool::with_threads(threads, || {
+                run_training(cfg, TrainOptions { graph: true, ..opts })
+            });
             assert_eq!(
-                &graphed, reference,
-                "graph variant (grain {:?}, checkpoint {}) diverged at {threads} threads",
+                scheduled, reference,
+                "scheduled variant (grain {:?}, checkpoint {}) diverged at {threads} threads",
                 opts.grain, opts.checkpoint
             );
         }
     }
 }
 
+/// Under checkpointing, each segment's recompute must not run until
+/// backward has produced the gradient flowing into that segment — or the
+/// recomputed activations sit in memory for the whole backward pass. The
+/// FIFO scheduler runs any ready task, so only a dependence edge can hold
+/// the recompute back; the captured run reports show whether it did.
+#[test]
+fn scheduled_recompute_waits_for_its_upstream_gradient() {
+    let cfg = BertConfig { layers: 4, ..BertConfig::tiny() };
+    let corpus = SyntheticCorpus::new(cfg.vocab);
+    let mut rng = StdRng::seed_from_u64(31);
+    let batch = corpus.generate_batch(&mut rng, &cfg);
+    let opts = TrainOptions { graph: true, checkpoint: true, ..TrainOptions::default() };
+    for threads in [1usize, 2, 8] {
+        let runs = pool::with_threads(threads, || {
+            let mut bert = Bert::new(cfg, opts, 9);
+            sched::start_capture();
+            bert.train_step(&mut Tracer::disabled(), &batch).expect("checkpointed step");
+            sched::take_captured()
+        });
+        assert_eq!(runs.len(), 1, "one scheduled run per step");
+        let run = &runs[0];
+        let retired = |label: &str| {
+            let task = run.labels.iter().position(|l| l == label).unwrap_or_else(|| {
+                panic!("no task `{label}` in {:?}", run.labels);
+            });
+            run.completion_order.iter().position(|&t| t == task).expect("task retired")
+        };
+        let recomputes: Vec<&String> =
+            run.labels.iter().filter(|l| l.starts_with("bwd.recompute.s")).collect();
+        assert!(recomputes.len() > 1, "config must have several segments: {recomputes:?}");
+        let segs = bertscope_model::checkpoint_segments(cfg.layers);
+        let per_seg = cfg.layers.div_ceil(segs);
+        for label in recomputes {
+            let start: usize = label["bwd.recompute.s".len()..].parse().expect("segment start");
+            let end = (start + per_seg).min(cfg.layers);
+            // dy[end] comes from the heads' backward for the last segment
+            // and from layer `end`'s backward for every other one.
+            let writer =
+                if end == cfg.layers { "bwd.heads.mlm".into() } else { format!("bwd.l{end}") };
+            assert!(
+                retired(label) > retired(&writer),
+                "`{label}` retired before `{writer}` at {threads} threads: {:?}",
+                run.completion_order.iter().map(|&t| &run.labels[t]).collect::<Vec<_>>()
+            );
+        }
+    }
+}
+
 /// Inference through the fused graph: the fusion pass merges task pairs
-/// but every loss and accuracy bit matches the eager evaluation, at every
-/// thread count.
+/// but every loss and accuracy bit matches the inline (eager) evaluation,
+/// at every thread count.
 #[test]
 fn fused_graph_evaluation_matches_eager_across_threads() {
     let cfg = BertConfig::tiny();
     let corpus = SyntheticCorpus::new(cfg.vocab);
     let mut rng = StdRng::seed_from_u64(23);
     let batch = corpus.generate_batch(&mut rng, &cfg);
-    let eager = Bert::new(cfg, TrainOptions::default(), 9);
+    let inline = Bert::new(cfg, TrainOptions::default(), 9);
     let mut tr = Tracer::disabled();
-    let base = eager.evaluate(&mut tr, &batch).expect("eager evaluate");
+    let base = inline.evaluate(&mut tr, &batch).expect("inline evaluate");
     for threads in [1usize, 2, 8] {
         for fuse in [false, true] {
             let opts =
                 TrainOptions { graph: true, grain: TaskGrain::Op, fuse, ..TrainOptions::default() };
-            let graphed = Bert::new(cfg, opts, 9);
+            let scheduled = Bert::new(cfg, opts, 9);
             let out = pool::with_threads(threads, || {
                 let mut tr = Tracer::disabled();
-                graphed.evaluate(&mut tr, &batch).expect("graph evaluate")
+                scheduled.evaluate(&mut tr, &batch).expect("scheduled evaluate")
             });
             assert_eq!(base.mlm_loss.to_bits(), out.mlm_loss.to_bits(), "fuse={fuse}");
             assert_eq!(base.nsp_loss.to_bits(), out.nsp_loss.to_bits(), "fuse={fuse}");

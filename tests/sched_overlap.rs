@@ -1,12 +1,12 @@
-//! Backward/AllReduce overlap, verified from the outside: the deferred
-//! scheduler must change *when* work runs, never *what* it computes, and
-//! the optimizer must provably wait for each gradient bucket's collective.
+//! Backward/AllReduce overlap, verified from the outside: the scheduler
+//! must change *when* work runs, never *what* it computes, and the
+//! optimizer must provably wait for each gradient bucket's collective.
 //!
 //! Two angles:
 //!
-//! * the deferred micro-step is bit-identical to the eager one at 1, 2 and
-//!   8 worker threads — the scheduler buys inter-op parallelism without
-//!   touching numerics;
+//! * the scheduled micro-step is bit-identical to the inline (eager) one
+//!   at 1, 2 and 8 worker threads — the scheduler buys inter-op
+//!   parallelism without touching numerics;
 //! * a live overlapped trace (observer-fired buckets, per-bucket `Comm`
 //!   ops, presynced close) passes the H005 communication contract — no
 //!   update-phase op reads a gradient buffer before the bucket collective
@@ -64,48 +64,43 @@ fn run_params_with(opts: TrainOptions) -> Vec<u32> {
     param_bits(&mut bert)
 }
 
-fn run_params(deferred: bool) -> Vec<u32> {
-    run_params_with(TrainOptions { deferred, ..TrainOptions::default() })
-}
-
-/// Deferred execution is a scheduling change only: at every thread count
-/// the deferred micro-step leaves the exact parameter bits the eager
-/// 1-thread reference run does.
+/// The inline (eager) executor leaves the exact parameter bits of its
+/// 1-thread run at every thread count, even though its kernels spread over
+/// the whole pool. The `deferred` option is ignored; setting it must not
+/// change a bit either.
 #[test]
 fn deferred_micro_step_is_bit_identical_to_eager_across_threads() {
-    let base = pool::with_threads(1, || run_params(false));
-    for threads in [1usize, 2, 8] {
-        let deferred = pool::with_threads(threads, || run_params(true));
-        assert_eq!(
-            deferred, base,
-            "deferred micro-step diverged from the eager reference at {threads} threads"
-        );
-    }
-}
-
-/// Whole-model task-graph execution composes with the overlap machinery:
-/// recording the full step as a DAG (with and without the deferred flag
-/// that the distributed worker pairs it with) leaves the exact parameter
-/// bits of the eager 1-thread reference at every thread count.
-#[test]
-fn graph_micro_step_is_bit_identical_to_eager_across_threads() {
-    let base = pool::with_threads(1, || run_params(false));
+    let base = pool::with_threads(1, || run_params_with(TrainOptions::default()));
     for threads in [1usize, 2, 8] {
         for deferred in [false, true] {
-            let graphed = pool::with_threads(threads, || {
-                run_params_with(TrainOptions { graph: true, deferred, ..TrainOptions::default() })
+            let inline = pool::with_threads(threads, || {
+                run_params_with(TrainOptions { deferred, ..TrainOptions::default() })
             });
             assert_eq!(
-                graphed, base,
-                "graph-mode micro-step diverged at {threads} threads (deferred={deferred})"
+                inline, base,
+                "inline micro-step diverged at {threads} threads (deferred={deferred})"
             );
         }
     }
 }
 
-/// Under graph execution the observer fires from inside backward tasks,
-/// but the dy dataflow serializes the chain — so the bucket sequence (and
-/// every payload) must be exactly the eager one. This is the precondition
+/// Scheduled execution composes with the overlap machinery: running the
+/// recorded step on the scheduler leaves the exact parameter bits of the
+/// inline (eager) 1-thread reference at every thread count.
+#[test]
+fn graph_micro_step_is_bit_identical_to_eager_across_threads() {
+    let base = pool::with_threads(1, || run_params_with(TrainOptions::default()));
+    for threads in [1usize, 2, 8] {
+        let scheduled = pool::with_threads(threads, || {
+            run_params_with(TrainOptions { graph: true, ..TrainOptions::default() })
+        });
+        assert_eq!(scheduled, base, "scheduled micro-step diverged at {threads} threads");
+    }
+}
+
+/// Under scheduled execution the observer fires from inside backward
+/// tasks on pool workers, but the dy dataflow serializes the chain — so
+/// the bucket sequence (and every payload) must be exactly the inline one. This is the precondition
 /// for ring collectives: all ranks enter bucket AllReduces in one order.
 #[test]
 fn graph_mode_buckets_fire_in_eager_order() {
@@ -126,11 +121,11 @@ fn graph_mode_buckets_fire_in_eager_order() {
             .expect("observed micro step");
         averager.into_sink().fired
     };
-    let eager = fire(false);
-    let graphed = fire(true);
-    assert!(!eager.is_empty(), "buckets must fire");
-    assert_eq!(eager.len(), graphed.len());
-    for (e, g) in eager.iter().zip(&graphed) {
+    let inline = fire(false);
+    let scheduled = fire(true);
+    assert!(!inline.is_empty(), "buckets must fire");
+    assert_eq!(inline.len(), scheduled.len());
+    for (e, g) in inline.iter().zip(&scheduled) {
         assert_eq!(e.0, g.0, "bucket order diverged");
         assert_eq!(e.1, g.1, "bucket range diverged");
         let (eb, gb): (Vec<u32>, Vec<u32>) =
@@ -162,7 +157,7 @@ fn optimizer_never_starts_before_its_buckets_allreduce_retires() {
     let corpus = SyntheticCorpus::new(cfg.vocab);
     let mut rng = StdRng::seed_from_u64(13);
     let batch = corpus.generate_batch(&mut rng, &cfg);
-    let opts = TrainOptions { deferred: true, ..TrainOptions::default() };
+    let opts = TrainOptions { graph: true, ..TrainOptions::default() };
     let mut bert = Bert::new(cfg, opts, 3);
     let mut trainer = Trainer::new(Lamb::new(0.01), 1);
     let mut tracer = Tracer::new();

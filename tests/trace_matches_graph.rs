@@ -147,46 +147,45 @@ fn a_wider_deeper_config_also_matches() {
     compare(cfg, TrainOptions::default(), graph_opts(Precision::Fp32, false, false));
 }
 
-/// The graph-mode projection of a record: everything except buffer
-/// provenance. Whole-model task-graph execution passes values between
-/// tasks through rendezvous clones, which deep-copy into fresh buffers, so
-/// access-set buffer ids legitimately differ from the eager run's; every
-/// other facet of the stream — names, kinds, phases, layer attribution,
-/// GEMM specs, FLOP/byte counts, dtypes — must be identical, in order.
+/// The cross-mode projection of a record: everything except buffer
+/// provenance. Every allocation mints a fresh buffer id, so two runs of the
+/// same step never share ids; every other facet of the stream — names,
+/// kinds, phases, layer attribution, GEMM specs, FLOP/byte counts, dtypes —
+/// must be identical, in order.
 fn graph_mode_sig(op: &OpRecord) -> (String, Option<usize>, Sig) {
     (op.name.clone(), op.layer, signature(op))
 }
 
-/// Whole-model task-graph execution (`TrainOptions::graph`), replayed into
-/// the tracer in program (submission) order, must produce the same op
-/// stream the eager spine records.
+/// The recorded step run on the scheduler (`TrainOptions::graph`), its
+/// per-task records merged in submission order, must produce the same op
+/// stream the inline (eager) run records directly.
 fn graph_trace_matches_eager(opts: TrainOptions) {
     let cfg = BertConfig::tiny();
     let corpus = SyntheticCorpus::new(cfg.vocab);
     let mut rng = StdRng::seed_from_u64(7);
     let batch = corpus.generate_batch(&mut rng, &cfg);
-    let mut eager = Bert::new(cfg, opts, 3);
-    let mut graphed = Bert::new(cfg, TrainOptions { graph: true, ..opts }, 3);
-    let mut tr_e = Tracer::new();
-    let mut tr_g = Tracer::new();
-    eager.train_step(&mut tr_e, &batch).expect("eager step");
-    graphed.train_step(&mut tr_g, &batch).expect("graph step");
-    let te = tr_e.into_records();
-    let tg = tr_g.into_records();
+    let mut inline = Bert::new(cfg, opts, 3);
+    let mut scheduled = Bert::new(cfg, TrainOptions { graph: true, ..opts }, 3);
+    let mut tr_i = Tracer::new();
+    let mut tr_s = Tracer::new();
+    inline.train_step(&mut tr_i, &batch).expect("inline step");
+    scheduled.train_step(&mut tr_s, &batch).expect("scheduled step");
+    let ti = tr_i.into_records();
+    let ts = tr_s.into_records();
     assert_eq!(
-        te.len(),
-        tg.len(),
-        "kernel counts diverge: eager {} vs graph {}",
-        te.len(),
-        tg.len()
+        ti.len(),
+        ts.len(),
+        "kernel counts diverge: inline {} vs scheduled {}",
+        ti.len(),
+        ts.len()
     );
-    for (i, (e, g)) in te.iter().zip(&tg).enumerate() {
+    for (i, (a, b)) in ti.iter().zip(&ts).enumerate() {
         assert_eq!(
-            graph_mode_sig(e),
-            graph_mode_sig(g),
-            "op #{i} diverges between eager and graph execution"
+            graph_mode_sig(a),
+            graph_mode_sig(b),
+            "op #{i} diverges between inline and scheduled execution"
         );
-        assert_eq!(e.gemm, g.gemm, "op #{i} GEMM spec: {} vs {}", e.name, g.name);
+        assert_eq!(a.gemm, b.gemm, "op #{i} GEMM spec: {} vs {}", a.name, b.name);
     }
 }
 
