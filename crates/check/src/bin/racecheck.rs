@@ -141,7 +141,7 @@ fn run_traces(paths: &[String], stats: bool) -> i32 {
 /// Verify the operator-graph scheduler's *emitted* orders: for a sample
 /// of the paper configurations, plan a completion order with
 /// `bertscope_tensor::sched::plan_order` at several worker counts — with
-/// the fusion pass off and on — then re-check that order against the
+/// and without a `plan_fusion` grouping — then re-check that order against the
 /// stream's dependence DAG (H-series), verify any fusion grouping with the
 /// F-series legality rules, and replay the reordered stream through the
 /// communication-ordering and L-series lifetime rules. This is the closed
@@ -193,8 +193,8 @@ fn run_sched(stats: bool) -> i32 {
     for (model, workload, o, ops) in &sample {
         let accesses: Vec<&AccessSet> = ops.iter().map(|op| &op.access).collect();
         let graph = DepGraph::build(ops);
-        // Plan the legal fusion grouping over the stream's own labels —
-        // the same patterns the recorded training step uses. Training
+        // Plan the legal fusion grouping over the stream's own labels for
+        // the bias+GeLU and residual+LayerNorm chains (paper §6.1.3). Training
         // streams decline every pair (backward keeps the intermediates
         // multi-successor); inference streams merge residual+LayerNorm
         // chains. Either way the grouping must pass the F-rules and the
@@ -369,7 +369,7 @@ fn main() {
                  \n\
                  --stats        also print DAG depth/width/critical-path parallelism\n\
                  --sched        plan completion orders with the operator-graph scheduler\n\
-                \u{20}               at 1/2/8 workers (fusion pass off and on) for a sample of\n\
+                \u{20}               at 1/2/8 workers (fusion plan off and on) for a sample of\n\
                 \u{20}               the configurations, verify any fusion grouping with the\n\
                 \u{20}               F-rules, and re-check each emitted order against the H-\n\
                 \u{20}               and L-rules; malformed orders are reported with the\n\

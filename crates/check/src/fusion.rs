@@ -1,18 +1,19 @@
 //! F-series: fusion-legality verification.
 //!
-//! The operator-graph scheduler's fusion pass
-//! (`bertscope_tensor::sched::TaskGraph::fuse`) merges chains of tasks —
-//! bias+GeLU, residual+LayerNorm — into single dispatches. Merging is only
-//! legal when the dependence DAG proves nothing can observe the
-//! intermediate state: the fused ops must be **adjacent** in submission
-//! order (so the merged node occupies a contiguous span and no edge can
-//! invert), each producer's **sole** dependence successor must be its
-//! fused consumer (RAW, WAR and WAW all counted — anything else waiting on
-//! the producer would deadlock or race), and every member must carry
-//! buffer provenance (an opaque op is a scheduling barrier and must stay
-//! one). [`check_fusion`] re-proves all three conditions from the op
-//! stream itself, independently of the scheduler's own planner — the same
-//! trust-but-verify loop `racecheck --sched` closes for emitted schedules.
+//! The scheduler's fusion planner (`bertscope_tensor::sched::plan_fusion`)
+//! groups chains of tasks — bias+GeLU, residual+LayerNorm — that could run
+//! as single dispatches; `racecheck --sched` plans such fused orders over
+//! the analytic streams. Merging is only legal when the dependence DAG
+//! proves nothing can observe the intermediate state: the fused ops must
+//! be **adjacent** in submission order (so the merged node occupies a
+//! contiguous span and no edge can invert), each producer's **sole**
+//! dependence successor must be its fused consumer (RAW, WAR and WAW all
+//! counted — anything else waiting on the producer would deadlock or
+//! race), and every member must carry buffer provenance (an opaque op is a
+//! scheduling barrier and must stay one). [`check_fusion`] re-proves all
+//! three conditions from the op stream itself, independently of the
+//! planner — the same trust-but-verify loop `racecheck --sched` closes for
+//! emitted schedules.
 
 use crate::deps::DepGraph;
 use crate::finding::Finding;
@@ -20,7 +21,7 @@ use crate::rules::RuleId;
 use bertscope_tensor::OpRecord;
 
 /// Verify a claimed fusion grouping (original op ids per post-fusion task,
-/// e.g. `bertscope_tensor::sched::FusionReport::groups`) against the
+/// e.g. what `bertscope_tensor::sched::plan_fusion` returns) against the
 /// dependence DAG reconstructed from `ops`. Returns one error-severity
 /// F001 finding per violated condition; an empty vec means every merged
 /// group is provably legal. Groups must cover `0..ops.len()` exactly once,

@@ -35,10 +35,11 @@
 //!   describe legal pooled lifetimes — no use after release, no double
 //!   release, no write into recycled storage, no leaked stream-local
 //!   allocation.
-//! * **Fusion legality** (`F` rules, via [`fusion`]): every task pair the
-//!   operator-graph scheduler's fusion pass merges must be provable on the
-//!   dependence DAG — adjacent in submission order, the producer's sole
-//!   successor its fused consumer, both sides carrying provenance.
+//! * **Fusion legality** (`F` rules, via [`fusion`]): every task pair a
+//!   `bertscope_tensor::sched::plan_fusion` grouping merges must be
+//!   provable on the dependence DAG — adjacent in submission order, the
+//!   producer's sole successor its fused consumer, both sides carrying
+//!   provenance.
 //!
 //! The two sides of the suite's central cross-validation (`graph.rs` and
 //! the kernels crate) intentionally share their formulas; this checker is
@@ -65,19 +66,6 @@
 //! let findings = check_stream(&bad);
 //! assert_eq!(findings[0].rule.code(), "C001");
 //! ```
-
-#![deny(missing_docs)]
-#![deny(unsafe_code)]
-#![warn(clippy::pedantic)]
-#![allow(
-    clippy::cast_precision_loss,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::module_name_repetitions,
-    clippy::must_use_candidate,
-    clippy::missing_panics_doc,
-    clippy::similar_names
-)]
 
 pub mod deps;
 pub mod finding;

@@ -382,43 +382,6 @@ impl<'scope> TaskGraph<'scope> {
         log_run(&report);
         report
     }
-
-    /// Apply the legal fusion pass: merge chains of adjacent tasks where
-    /// the dependence DAG shows the earlier task's *sole* successor is the
-    /// next submitted task and the pair's labels match one of `patterns`
-    /// (see [`plan_fusion`] for the exact legality conditions). A fused
-    /// task runs the original bodies back to back under one dispatch, with
-    /// the merged (union) access set, so the executed dataflow — and the
-    /// merged trace — are unchanged; only the task grain coarsens.
-    #[must_use]
-    pub fn fuse(self, patterns: &[FusePattern]) -> (TaskGraph<'scope>, FusionReport) {
-        let labels: Vec<String> = self.tasks.iter().map(|t| t.label.clone()).collect();
-        let accesses: Vec<&AccessSet> = self.tasks.iter().map(|t| &t.access).collect();
-        let groups = plan_fusion(&labels, &accesses, patterns);
-        let merged: Vec<AccessSet> = groups
-            .iter()
-            .map(|g| merge_accesses(&g.iter().map(|&i| accesses[i]).collect::<Vec<_>>()))
-            .collect();
-        let mut bodies: Vec<Option<TaskBody<'scope>>> =
-            self.tasks.into_iter().map(|t| Some(t.body)).collect();
-        let mut out = TaskGraph::new();
-        let mut fused = Vec::new();
-        for (group, access) in groups.iter().zip(merged) {
-            let label: String =
-                group.iter().map(|&i| labels[i].as_str()).collect::<Vec<_>>().join("+");
-            if group.len() > 1 {
-                fused.push(label.clone());
-            }
-            let parts: Vec<TaskBody<'scope>> =
-                group.iter().map(|&i| bodies[i].take().expect("task fused twice")).collect();
-            out.submit(label, access, move |tracer: &mut Tracer| {
-                for body in parts {
-                    body(tracer);
-                }
-            });
-        }
-        (out, FusionReport { groups: groups.clone(), fused })
-    }
 }
 
 struct ExecShared {
@@ -481,7 +444,7 @@ pub fn dependence_preds(accesses: &[&AccessSet]) -> Vec<Vec<usize>> {
     preds
 }
 
-/// One producer→consumer task-pair shape the fusion pass may merge: both
+/// One producer→consumer task-pair shape [`plan_fusion`] may merge: both
 /// fields are label substrings (`"fc1"` + `"gelu"` fuses the bias+GeLU
 /// chain, `"res"` + `"ln"` the residual+LayerNorm chain). Matching labels
 /// is *necessary but not sufficient* — the dependence DAG must also prove
@@ -500,25 +463,6 @@ impl FusePattern {
     #[must_use]
     pub fn new(producer: impl Into<String>, consumer: impl Into<String>) -> Self {
         FusePattern { producer: producer.into(), consumer: consumer.into() }
-    }
-}
-
-/// What [`TaskGraph::fuse`] did: how the original tasks were grouped into
-/// post-fusion tasks, and the labels of the groups that actually merged.
-#[derive(Debug, Clone)]
-pub struct FusionReport {
-    /// Original task ids comprising each post-fusion task, in submission
-    /// order. Singleton groups are unfused tasks.
-    pub groups: Vec<Vec<usize>>,
-    /// `"producer+consumer"` labels of each multi-task group.
-    pub fused: Vec<String>,
-}
-
-impl FusionReport {
-    /// Number of original tasks eliminated by merging.
-    #[must_use]
-    pub fn pairs_merged(&self) -> usize {
-        self.groups.iter().map(|g| g.len() - 1).sum()
     }
 }
 
@@ -1051,75 +995,5 @@ mod tests {
         let groups = plan_fusion(&labels, &refs, &patterns);
         assert_eq!(groups, vec![vec![0, 1, 2, 3]]);
         assert_eq!(expand_order(&groups, &[0]), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn fused_run_matches_unfused_trace_and_results() {
-        use crate::trace::{Category, OpKind, Phase};
-        use crate::DType;
-        fn mk(name: &str) -> OpRecord {
-            OpRecord {
-                name: name.into(),
-                kind: OpKind::ElementWise,
-                category: Category::Gelu,
-                phase: Phase::Forward,
-                layer: None,
-                gemm: None,
-                flops: 1,
-                bytes_read: 4,
-                bytes_written: 4,
-                dtype: DType::F32,
-                access: AccessSet::default(),
-            }
-        }
-        fn build(cells: &Mutex<Vec<f32>>) -> TaskGraph<'_> {
-            let a = BufId::fresh();
-            let b = BufId::fresh();
-            let c = BufId::fresh();
-            let mut g = TaskGraph::new();
-            g.submit("fc1", acc(&[], &[a]), move |tr: &mut Tracer| {
-                cells.lock().unwrap()[0] = 2.0;
-                tr.record(mk("fc1"));
-            });
-            g.submit("gelu", acc(&[a], &[b]), move |tr: &mut Tracer| {
-                let mut d = cells.lock().unwrap();
-                d[1] = d[0] * 3.0;
-                tr.record(mk("gelu"));
-            });
-            g.submit("fc2", acc(&[b], &[c]), move |tr: &mut Tracer| {
-                let mut d = cells.lock().unwrap();
-                d[2] = d[1] + 1.0;
-                tr.record(mk("fc2"));
-            });
-            g
-        }
-        for threads in [1usize, 2, 8] {
-            with_threads(threads, || {
-                let eager_cells = Mutex::new(vec![0.0f32; 3]);
-                let mut eager_tr = Tracer::new();
-                build(&eager_cells).run(&mut eager_tr);
-
-                let fused_cells = Mutex::new(vec![0.0f32; 3]);
-                let mut fused_tr = Tracer::new();
-                let (fused, fr) = build(&fused_cells).fuse(&[FusePattern::new("fc1", "gelu")]);
-                assert_eq!(fused.len(), 2, "fc1+gelu merged into one task");
-                assert_eq!(fr.fused, vec!["fc1+gelu"]);
-                assert_eq!(fr.pairs_merged(), 1);
-                fused.run(&mut fused_tr);
-
-                assert_eq!(
-                    bits(&eager_cells.lock().unwrap()),
-                    bits(&fused_cells.lock().unwrap()),
-                    "fused results diverged at {threads} threads"
-                );
-                let names =
-                    |tr: &Tracer| tr.records().iter().map(|r| r.name.clone()).collect::<Vec<_>>();
-                assert_eq!(names(&eager_tr), names(&fused_tr), "fused trace diverged");
-            });
-        }
-    }
-
-    fn bits(vals: &[f32]) -> Vec<u32> {
-        vals.iter().map(|v| v.to_bits()).collect()
     }
 }

@@ -336,4 +336,69 @@ mod tests {
         let text = format!("# c\n\n{}\n# trailing\n", record_to_line(&sample()[0]));
         assert_eq!(parse_records(&text).expect("parse").len(), 1);
     }
+
+    mod fuzz {
+        use super::*;
+        use proptest::collection;
+        use proptest::prelude::*;
+
+        /// Text built from the format's own tokens, separators and
+        /// arbitrary characters, so that many inputs get past the column
+        /// count and into the per-column parsers.
+        fn fuzz_text() -> impl Strategy<Value = String> {
+            let tokens: Vec<&str> = "gemm elementwise comm fc-gemm gelu fwd bwd f32 bf16 - 0 7 \
+                                     18446744073709551616 1,2 , #"
+                .split(' ')
+                .chain(["\t", "\n", " "])
+                .collect();
+            let part = (0..tokens.len() + 1, 0u32..0x11_0000);
+            collection::vec(part, 0..40).prop_map(move |parts| {
+                let mut text = String::new();
+                for (t, c) in parts {
+                    match tokens.get(t) {
+                        Some(tok) => text.push_str(tok),
+                        None => text.push(char::from_u32(c).unwrap_or('\u{fffd}')),
+                    }
+                }
+                text
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// `racecheck --trace` reads trace files written by other
+            /// processes: any text parses or returns a located error, never
+            /// a panic. Half the inputs are a valid dump with characters
+            /// deleted, inserted or cut off. A successful parse dumps back
+            /// to text that parses to as many records.
+            #[test]
+            fn trace_text_never_panics(
+                text in fuzz_text(),
+                edits in collection::vec((0usize..4096, 0u32..0x11_0000, 0u8..3), 1..6),
+                mutated in 0u8..2,
+            ) {
+                let input = if mutated == 1 {
+                    let mut chars: Vec<char> = dump_records(&sample()).chars().collect();
+                    for (at, c, op) in edits {
+                        let at = at % (chars.len() + 1);
+                        match op {
+                            0 if at < chars.len() => {
+                                chars.remove(at);
+                            }
+                            1 => chars.insert(at, char::from_u32(c).unwrap_or('\t')),
+                            _ => chars.truncate(at),
+                        }
+                    }
+                    chars.into_iter().collect()
+                } else {
+                    text
+                };
+                if let Ok(records) = parse_records(&input) {
+                    let again = parse_records(&dump_records(&records)).map(|r| r.len());
+                    prop_assert_eq!(again, Ok(records.len()));
+                }
+            }
+        }
+    }
 }

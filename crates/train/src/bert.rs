@@ -23,22 +23,6 @@ use bertscope_tensor::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Granularity of the tasks the step recorder ([`crate::graph`]) emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TaskGrain {
-    /// One task per model-level unit: the embedding block, each
-    /// transformer layer (forward and backward), each output head. The
-    /// default — coarse enough that per-task dispatch overhead vanishes.
-    #[default]
-    Layer,
-    /// One task per op stage inside each layer's *forward* (attention,
-    /// dropout+residual, LayerNorm, FC1, GeLU, FC2, ...). Backward always
-    /// stays at layer grain, and checkpointed steps fall back to layer
-    /// grain (the recompute segment is inherently a unit). This is the
-    /// grain the fusion pass operates at.
-    Op,
-}
-
 /// Execution options for the trainable model.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainOptions {
@@ -72,14 +56,6 @@ pub struct TrainOptions {
     /// concurrently. Both are bit-identical at any thread count, and their
     /// traces are equal.
     pub graph: bool,
-    /// Task granularity of the recorded step.
-    pub grain: TaskGrain,
-    /// Apply the verified fusion pass (`TaskGraph::fuse`) to recorded
-    /// evaluation graphs: adjacent sole-successor pairs like FC1→GeLU and
-    /// residual→LayerNorm merge into single dispatches. Only forward-only
-    /// graphs at [`TaskGrain::Op`] have fusable pairs; training graphs keep
-    /// every intermediate alive for backward and are never fused.
-    pub fuse: bool,
 }
 
 impl Default for TrainOptions {
@@ -94,8 +70,6 @@ impl Default for TrainOptions {
             loss_scale: 1.0,
             causal_attention: false,
             graph: false,
-            grain: TaskGrain::Layer,
-            fuse: false,
         }
     }
 }

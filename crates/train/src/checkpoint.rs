@@ -262,12 +262,23 @@ fn read_str<R: Read>(r: &mut R) -> Result<String, TrainError> {
 }
 
 fn read_f32s<R: Read>(r: &mut R) -> Result<Vec<f32>, TrainError> {
-    let len = read_u64(r)? as usize;
+    let len = read_u64(r)?;
     if len > 1 << 32 {
         return Err(TrainError::Checkpoint(format!("implausible tensor length {len}")));
     }
-    let mut bytes = vec![0u8; len * 4];
-    read_exact(r, &mut bytes)?;
+    // Grow with the payload actually present: a corrupt length prefix must
+    // not allocate its claimed size before a single value has been read.
+    let want = len * 4;
+    let mut bytes = Vec::with_capacity(want.min(1 << 20) as usize);
+    r.take(want)
+        .read_to_end(&mut bytes)
+        .map_err(|e| TrainError::Checkpoint(format!("truncated checkpoint: {e}")))?;
+    if bytes.len() as u64 != want {
+        return Err(TrainError::Checkpoint(format!(
+            "truncated checkpoint: tensor payload has {} of {want} bytes",
+            bytes.len()
+        )));
+    }
     Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
 }
 
@@ -342,6 +353,22 @@ mod tests {
     }
 
     #[test]
+    fn huge_tensor_length_is_rejected_without_allocating_it() {
+        // Magic, version, counters and scaler state: the first 64 bytes.
+        let mut bytes = fixture().to_bytes()[..64].to_vec();
+        bytes.extend(1u32.to_le_bytes()); // one parameter record,
+        bytes.extend(1u32.to_le_bytes()); // named "w",
+        bytes.push(b'w');
+        bytes.extend(0u32.to_le_bytes()); // with no dims,
+        bytes.push(0); // f32,
+        bytes.extend((1u64 << 32).to_le_bytes()); // claiming 2^32 values, then ending.
+        assert_eq!(bytes.len(), 86);
+        let err = TrainCheckpoint::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, TrainError::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    #[test]
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("bertscope-ckpt-test");
         std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -351,5 +378,46 @@ mod tests {
         let back = TrainCheckpoint::load(&path).expect("load");
         assert_eq!(ckpt, back);
         std::fs::remove_file(&path).ok();
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::collection;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// Checkpoint files are outside bytes: any input decodes or
+            /// returns a structured error, never a panic or an abort. The
+            /// inputs are raw noise, noise behind a valid header, and valid
+            /// checkpoints cut short or with bytes flipped. A successful
+            /// decode re-encodes to the bytes it consumed.
+            #[test]
+            fn checkpoint_bytes_never_panic(
+                noise in collection::vec(0u8..=255, 0..160),
+                cut in 0usize..4096,
+                flips in collection::vec((0usize..4096, 1u8..=255), 1..4),
+                mode in 0u8..4,
+            ) {
+                let valid = fixture().to_bytes();
+                let bytes = match mode {
+                    0 => noise,
+                    1 => valid[..8].iter().copied().chain(noise).collect(),
+                    2 => valid[..cut % (valid.len() + 1)].to_vec(),
+                    _ => {
+                        let mut b = valid;
+                        let n = b.len();
+                        for (at, x) in flips {
+                            b[at % n] ^= x;
+                        }
+                        b
+                    }
+                };
+                if let Ok(ckpt) = TrainCheckpoint::read_from(&mut bytes.as_slice()) {
+                    prop_assert!(bytes.starts_with(&ckpt.to_bytes()));
+                }
+            }
+        }
     }
 }

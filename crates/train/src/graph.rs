@@ -12,7 +12,7 @@
 //!   dispatches ready tasks onto the pool, each body internally serial, so
 //!   independent tasks retire concurrently.
 //!
-//! Four properties hold by construction:
+//! Three properties hold by construction:
 //!
 //! * **Bit identity.** Both executors run the same task bodies, values move
 //!   between tasks through rendezvous cells, and every kernel is
@@ -26,51 +26,29 @@
 //!   their consumer empties, so they are freed when it retires. A
 //!   checkpointed segment's recompute reads the upstream gradient, so even
 //!   the scheduler cannot run it before backward reaches the segment.
-//! * **Verified fusion.** With [`crate::TrainOptions::fuse`], the
-//!   evaluation graph passes through [`TaskGraph::fuse`] before running;
-//!   the merge is legal only where the dependence DAG proves a
-//!   sole-successor chain (FC1→GeLU, residual→LayerNorm), which
-//!   `bertscope-check`'s F-rules re-verify independently. Training graphs
-//!   keep every intermediate alive for backward and are never fused.
 //!
-//! Task grain defaults to one task per model unit ([`TaskGrain::Layer`]);
-//! [`TaskGrain::Op`] splits each layer's *forward* into its stages, which
-//! is the grain the fusion pass operates at. Checkpointed steps always
-//! record at layer grain — a recompute segment is inherently one unit.
+//! Every task is one model unit: the embedding block, one transformer
+//! layer's forward or backward, a checkpoint segment's recompute, or an
+//! output head.
 
-use crate::bert::{
-    top1_accuracy, Bert, EmbeddingActs, EvalOutput, HeadGrads, StepOutput, TaskGrain,
-};
+use crate::bert::{top1_accuracy, Bert, EmbeddingActs, EvalOutput, HeadGrads, StepOutput};
 use crate::data::PretrainBatch;
 use crate::defer::GradObserver;
-use crate::layer::{
-    layer_bwd, layer_fwd, stage_attn, stage_fc1, stage_fc2, stage_gelu, stage_ln1, stage_ln2,
-    stage_res1, stage_res2, LayerActivations, LayerGrads,
-};
+use crate::layer::{layer_bwd, layer_fwd, LayerActivations, LayerGrads};
 use bertscope_kernels::activation::{gelu_bwd, gelu_fwd, tanh_bwd, tanh_fwd};
-use bertscope_kernels::attention::AttentionState;
-use bertscope_kernels::dropout::{dropout_bwd, DropoutMask};
+use bertscope_kernels::dropout::dropout_bwd;
 use bertscope_kernels::embedding::embedding_bwd;
 use bertscope_kernels::linear::{linear_bwd, linear_fwd};
 use bertscope_kernels::loss::{cross_entropy_bwd, cross_entropy_fwd, CrossEntropyState};
 use bertscope_kernels::norm::{layernorm_bwd, layernorm_fwd, LayerNormState};
 use bertscope_kernels::{KernelCtx, Result};
 use bertscope_model::checkpoint_segments;
-use bertscope_tensor::sched::{FusePattern, FusionReport, Slot, TaskGraph};
+use bertscope_tensor::sched::{Slot, TaskGraph};
 use bertscope_tensor::{
     gemm, gemm_ep, AccessSet, BufId, Buffer, Category, DType, Epilogue, GemmEpilogue, GemmSpec,
     OpKind, Phase, Tensor, TensorError, Tracer, Transpose,
 };
 use std::sync::Mutex;
-
-/// The task-pair label patterns the fusion pass is allowed to merge:
-/// FC1→GeLU (the bias+GeLU tail runs inside the producing dispatch) and
-/// residual→LayerNorm. Legality is still proven per-instance on the
-/// dependence DAG — a pattern match alone never fuses anything.
-#[must_use]
-pub fn fusion_patterns() -> Vec<FusePattern> {
-    vec![FusePattern::new("fc1", "gelu"), FusePattern::new("residual", "layernorm")]
-}
 
 /// Multi-consumer rendezvous cell: `put` once, every `get` clones. Used
 /// for values with more than one downstream task (sequence output feeding
@@ -184,204 +162,6 @@ struct EmbBwdOut {
     d_emb_ln_beta: Tensor,
 }
 
-/// Per-layer rendezvous cells and dataflow tokens for [`TaskGrain::Op`]
-/// forward stages.
-struct LayerPieces {
-    attn_out: Slot<Tensor>,
-    attn_state: Slot<AttentionState>,
-    attn_drop: Slot<DropoutMask>,
-    res1: Shared<Tensor>,
-    ln1_state: Slot<LayerNormState>,
-    ln1_out: Shared<Tensor>,
-    fc1_out: Shared<Tensor>,
-    gelu_out: Shared<Tensor>,
-    fc2_out: Slot<Tensor>,
-    ffn_drop: Slot<DropoutMask>,
-    res2: Slot<Tensor>,
-    b_attn: BufId,
-    b_res1: BufId,
-    b_ln1: BufId,
-    b_fc1: BufId,
-    b_gelu: BufId,
-    b_fc2: BufId,
-    b_res2: BufId,
-}
-
-impl LayerPieces {
-    fn new() -> Self {
-        LayerPieces {
-            attn_out: Slot::new(),
-            attn_state: Slot::new(),
-            attn_drop: Slot::new(),
-            res1: Shared::new(),
-            ln1_state: Slot::new(),
-            ln1_out: Shared::new(),
-            fc1_out: Shared::new(),
-            gelu_out: Shared::new(),
-            fc2_out: Slot::new(),
-            ffn_drop: Slot::new(),
-            res2: Slot::new(),
-            b_attn: BufId::fresh(),
-            b_res1: BufId::fresh(),
-            b_ln1: BufId::fresh(),
-            b_fc1: BufId::fresh(),
-            b_gelu: BufId::fresh(),
-            b_fc2: BufId::fresh(),
-            b_res2: BufId::fresh(),
-        }
-    }
-}
-
-/// Record one layer's forward at op grain: a task per stage, in the exact
-/// order `layer_fwd` executes them, so the trace stays identical to layer
-/// grain. In training the final LayerNorm task also assembles the saved
-/// [`LayerActivations`] from the stage cells — that assembly *reads* every
-/// stage output, which makes the intermediates multi-successor and lets the
-/// fusion legality check correctly refuse to merge them; the forward-only
-/// graph has no assembler and its FC1→GeLU / residual→LayerNorm pairs fuse.
-#[allow(clippy::too_many_arguments)]
-fn submit_op_grain_layer<'s>(
-    graph: &mut TaskGraph<'s>,
-    this: &'s Bert,
-    mask: &'s Tensor,
-    err: &'s ErrCell,
-    x_slots: &'s [Shared<Tensor>],
-    b_x: &[BufId],
-    p: &'s LayerPieces,
-    l: usize,
-    seed: u64,
-    eval: bool,
-    acts: Option<(&'s Slot<LayerActivations>, BufId)>,
-) {
-    graph.submit(
-        format!("fwd.l{l}.attn"),
-        AccessSet::new(&[b_x[l]], &[p.b_attn]),
-        guarded(err, move |tr| {
-            let Some(x) = x_slots[l].get() else { return Ok(()) };
-            let lc = this.layer_ctx(l, eval);
-            let (attn_out, state) = stage_attn(tr, &lc, &this.layers[l], &x, Some(mask), seed)?;
-            p.attn_out.put(attn_out);
-            p.attn_state.put(state);
-            Ok(())
-        }),
-    );
-    graph.submit(
-        format!("fwd.l{l}.residual1"),
-        AccessSet::new(&[b_x[l], p.b_attn], &[p.b_res1]),
-        guarded(err, move |tr| {
-            let Some(x) = x_slots[l].get() else { return Ok(()) };
-            let Some(attn_out) = p.attn_out.take() else { return Ok(()) };
-            let lc = this.layer_ctx(l, eval);
-            let (res1, drop) = stage_res1(tr, &lc, &x, &attn_out, seed)?;
-            p.res1.put(res1);
-            p.attn_drop.put(drop);
-            Ok(())
-        }),
-    );
-    graph.submit(
-        format!("fwd.l{l}.layernorm1"),
-        AccessSet::new(&[p.b_res1], &[p.b_ln1]),
-        guarded(err, move |tr| {
-            let Some(res1) = p.res1.get() else { return Ok(()) };
-            let lc = this.layer_ctx(l, eval);
-            let (ln1_out, state) = stage_ln1(tr, &lc, &this.layers[l], &res1)?;
-            p.ln1_out.put(ln1_out);
-            p.ln1_state.put(state);
-            Ok(())
-        }),
-    );
-    let fused = this.options().fused_epilogue;
-    let fc1_writes: Vec<BufId> = if fused { vec![p.b_fc1, p.b_gelu] } else { vec![p.b_fc1] };
-    graph.submit(
-        format!("fwd.l{l}.fc1"),
-        AccessSet::new(&[p.b_ln1], &fc1_writes),
-        guarded(err, move |tr| {
-            let Some(ln1_out) = p.ln1_out.get() else { return Ok(()) };
-            let lc = this.layer_ctx(l, eval);
-            match stage_fc1(tr, &lc, &this.layers[l], &ln1_out)? {
-                (fc1_out, Some(gelu_out)) => {
-                    p.fc1_out.put(fc1_out);
-                    p.gelu_out.put(gelu_out);
-                }
-                (fc1_out, None) => p.fc1_out.put(fc1_out),
-            }
-            Ok(())
-        }),
-    );
-    if !fused {
-        graph.submit(
-            format!("fwd.l{l}.gelu"),
-            AccessSet::new(&[p.b_fc1], &[p.b_gelu]),
-            guarded(err, move |tr| {
-                let Some(fc1_out) = p.fc1_out.get() else { return Ok(()) };
-                let lc = this.layer_ctx(l, eval);
-                p.gelu_out.put(stage_gelu(tr, &lc, &fc1_out)?);
-                Ok(())
-            }),
-        );
-    }
-    graph.submit(
-        format!("fwd.l{l}.fc2"),
-        AccessSet::new(&[p.b_gelu], &[p.b_fc2]),
-        guarded(err, move |tr| {
-            let Some(gelu_out) = p.gelu_out.get() else { return Ok(()) };
-            let lc = this.layer_ctx(l, eval);
-            p.fc2_out.put(stage_fc2(tr, &lc, &this.layers[l], &gelu_out)?);
-            Ok(())
-        }),
-    );
-    graph.submit(
-        format!("fwd.l{l}.residual2"),
-        AccessSet::new(&[p.b_ln1, p.b_fc2], &[p.b_res2]),
-        guarded(err, move |tr| {
-            let Some(ln1_out) = p.ln1_out.get() else { return Ok(()) };
-            let Some(fc2_out) = p.fc2_out.take() else { return Ok(()) };
-            let lc = this.layer_ctx(l, eval);
-            let (res2, drop) = stage_res2(tr, &lc, &ln1_out, &fc2_out, seed)?;
-            p.res2.put(res2);
-            p.ffn_drop.put(drop);
-            Ok(())
-        }),
-    );
-    // The training variant reads every stage token: the activation
-    // assembly depends on all of them (and keeps them multi-successor).
-    let ln2_reads: Vec<BufId> = if acts.is_some() {
-        vec![p.b_res2, p.b_attn, p.b_res1, p.b_ln1, p.b_fc1, p.b_gelu]
-    } else {
-        vec![p.b_res2]
-    };
-    let ln2_writes: Vec<BufId> = match acts {
-        Some((_, b_act)) => vec![b_x[l + 1], b_act],
-        None => vec![b_x[l + 1]],
-    };
-    let act_slot = acts.map(|(s, _)| s);
-    graph.submit(
-        format!("fwd.l{l}.layernorm2"),
-        AccessSet::new(&ln2_reads, &ln2_writes),
-        guarded(err, move |tr| {
-            let Some(res2) = p.res2.take() else { return Ok(()) };
-            let lc = this.layer_ctx(l, eval);
-            let (y, ln2) = stage_ln2(tr, &lc, &this.layers[l], &res2)?;
-            if let Some(acts) = act_slot {
-                acts.put(LayerActivations {
-                    attn: p.attn_state.take().expect("attention state recorded"),
-                    attn_drop: p.attn_drop.take().expect("attention dropout recorded"),
-                    res1: p.res1.get().expect("res1 recorded"),
-                    ln1: p.ln1_state.take().expect("ln1 state recorded"),
-                    ln1_out: p.ln1_out.get().expect("ln1 output recorded"),
-                    fc1_out: p.fc1_out.get().expect("fc1 output recorded"),
-                    gelu_out: p.gelu_out.get().expect("gelu output recorded"),
-                    ffn_drop: p.ffn_drop.take().expect("ffn dropout recorded"),
-                    res2,
-                    ln2,
-                });
-            }
-            x_slots[l + 1].put(y);
-            Ok(())
-        }),
-    );
-}
-
 /// MLM head forward on the sequence output: dense, GeLU, LayerNorm, the
 /// tied decoder GEMM and the loss. Returns the loss, the logits and what
 /// the MLM backward task consumes.
@@ -473,7 +253,6 @@ struct TrainStorage {
     emb_acts: Slot<EmbeddingActs>,
     acts: Vec<Slot<LayerActivations>>,
     segs: Vec<Slot<Tensor>>,
-    pieces: Vec<LayerPieces>,
     mlm_fwd: Slot<MlmFwd>,
     nsp_fwd: Slot<NspFwd>,
     nsp_bwd: Slot<NspBwd>,
@@ -500,17 +279,12 @@ struct TrainStorage {
 }
 
 impl TrainStorage {
-    fn new(layers: usize, segs: usize, op_grain: bool) -> Self {
+    fn new(layers: usize, segs: usize) -> Self {
         TrainStorage {
             x: (0..=layers).map(|_| Shared::new()).collect(),
             emb_acts: Slot::new(),
             acts: (0..layers).map(|_| Slot::new()).collect(),
             segs: (0..segs).map(|_| Slot::new()).collect(),
-            pieces: if op_grain {
-                (0..layers).map(|_| LayerPieces::new()).collect()
-            } else {
-                Vec::new()
-            },
             mlm_fwd: Slot::new(),
             nsp_fwd: Slot::new(),
             nsp_bwd: Slot::new(),
@@ -538,25 +312,6 @@ impl TrainStorage {
     }
 }
 
-impl Bert {
-    /// Record the forward-only graph for `batch` and plan — without
-    /// executing any kernel — which task pairs the fusion pass would merge.
-    /// This is the inspection surface the fusion tests and benchmarks pin:
-    /// at [`TaskGrain::Op`] the plan fuses FC1→GeLU and residual→LayerNorm
-    /// chains; at [`TaskGrain::Layer`] nothing matches.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mask-construction shape errors.
-    pub fn plan_eval_fusion(&self, batch: &PretrainBatch) -> Result<FusionReport> {
-        let mask = self.attention_mask(batch)?;
-        let st = EvalStorage::new(self);
-        let graph = build_eval_graph(self, batch, &mask, &st);
-        let (_fused, plan) = graph.fuse(&fusion_patterns());
-        Ok(plan)
-    }
-}
-
 /// Run a recorded graph: on the scheduler under
 /// [`crate::TrainOptions::graph`], otherwise inline.
 fn execute(this: &Bert, graph: TaskGraph<'_>, tracer: &mut Tracer) {
@@ -567,8 +322,7 @@ fn execute(this: &Bert, graph: TaskGraph<'_>, tracer: &mut Tracer) {
     }
 }
 
-/// Record and run the forward-only evaluation graph ([`Bert::evaluate`]),
-/// fused first when [`crate::TrainOptions::fuse`] is set.
+/// Record and run the forward-only evaluation graph ([`Bert::evaluate`]).
 pub(crate) fn run_eval_graph(
     this: &Bert,
     tracer: &mut Tracer,
@@ -576,9 +330,7 @@ pub(crate) fn run_eval_graph(
 ) -> Result<EvalOutput> {
     let mask = this.attention_mask(batch)?;
     let st = EvalStorage::new(this);
-    let graph = build_eval_graph(this, batch, &mask, &st);
-    let graph = if this.opts.fuse { graph.fuse(&fusion_patterns()).0 } else { graph };
-    execute(this, graph, tracer);
+    execute(this, build_eval_graph(this, batch, &mask, &st), tracer);
     if let Some(e) = st.err.take() {
         return Err(e);
     }
@@ -601,12 +353,9 @@ pub(crate) fn run_train_graph(
 ) -> Result<(StepOutput, Vec<Option<LayerGrads>>, HeadGrads)> {
     let layers = this.cfg.layers;
     let checkpoint = this.opts.checkpoint;
-    // Checkpointed steps record at layer grain: the recompute segment is a
-    // unit, and its activations only exist transiently during backward.
-    let grain = if checkpoint { TaskGrain::Layer } else { this.opts.grain };
     let n_segs = checkpoint_segments(layers);
     let per_seg = layers.div_ceil(n_segs);
-    let st = TrainStorage::new(layers, n_segs, grain == TaskGrain::Op);
+    let st = TrainStorage::new(layers, n_segs);
     let st = &st;
     let obs = Mutex::new(observer);
     let obs = &obs;
@@ -626,22 +375,6 @@ pub(crate) fn run_train_graph(
         }),
     );
     for l in 0..layers {
-        if grain == TaskGrain::Op {
-            submit_op_grain_layer(
-                &mut graph,
-                this,
-                mask,
-                err,
-                &st.x,
-                &st.b_x,
-                &st.pieces[l],
-                l,
-                seed0 + l as u64,
-                false,
-                Some((&st.acts[l], st.b_act[l])),
-            );
-            continue;
-        }
         let boundary = checkpoint && l % per_seg == 0;
         let mut writes = vec![st.b_x[l + 1]];
         if boundary {
@@ -993,7 +726,6 @@ pub(crate) fn run_train_graph(
 /// Rendezvous cells and dataflow tokens for one recorded inference pass.
 struct EvalStorage {
     x: Vec<Shared<Tensor>>,
-    pieces: Vec<LayerPieces>,
     mlm_out: Slot<(f32, f32)>,
     nsp_out: Slot<(f32, f32)>,
     err: ErrCell,
@@ -1007,11 +739,6 @@ impl EvalStorage {
         let layers = this.config().layers;
         EvalStorage {
             x: (0..=layers).map(|_| Shared::new()).collect(),
-            pieces: if this.options().grain == TaskGrain::Op {
-                (0..layers).map(|_| LayerPieces::new()).collect()
-            } else {
-                Vec::new()
-            },
             mlm_out: Slot::new(),
             nsp_out: Slot::new(),
             err: ErrCell::new(),
@@ -1042,22 +769,6 @@ fn build_eval_graph<'s>(
         }),
     );
     for l in 0..layers {
-        if this.opts.grain == TaskGrain::Op {
-            submit_op_grain_layer(
-                &mut graph,
-                this,
-                mask,
-                err,
-                &st.x,
-                &st.b_x,
-                &st.pieces[l],
-                l,
-                0,
-                true,
-                None,
-            );
-            continue;
-        }
         graph.submit(
             format!("fwd.l{l}"),
             AccessSet::new(&[st.b_x[l]], &[st.b_x[l + 1]]),
@@ -1116,20 +827,17 @@ mod tests {
 
     #[test]
     fn scheduled_step_is_bit_identical_to_inline() {
-        for grain in [TaskGrain::Layer, TaskGrain::Op] {
-            let (mut inline, batch) = setup(TrainOptions { grain, ..TrainOptions::default() });
-            let (mut scheduled, _) =
-                setup(TrainOptions { graph: true, grain, ..TrainOptions::default() });
-            let mut tr = Tracer::disabled();
-            let oi = inline.train_step(&mut tr, &batch).unwrap();
-            let os = scheduled.train_step(&mut tr, &batch).unwrap();
-            assert_eq!(oi.loss.to_bits(), os.loss.to_bits(), "{grain:?}");
-            assert_eq!(oi.mlm_loss.to_bits(), os.mlm_loss.to_bits());
-            assert_eq!(oi.nsp_loss.to_bits(), os.nsp_loss.to_bits());
-            let (gi, gs) = (grads_of(&mut inline), grads_of(&mut scheduled));
-            for (a, b) in gi.iter().zip(&gs) {
-                assert_eq!(a.as_slice(), b.as_slice(), "{grain:?} gradient mismatch");
-            }
+        let (mut inline, batch) = setup(TrainOptions::default());
+        let (mut scheduled, _) = setup(TrainOptions { graph: true, ..TrainOptions::default() });
+        let mut tr = Tracer::disabled();
+        let oi = inline.train_step(&mut tr, &batch).unwrap();
+        let os = scheduled.train_step(&mut tr, &batch).unwrap();
+        assert_eq!(oi.loss.to_bits(), os.loss.to_bits());
+        assert_eq!(oi.mlm_loss.to_bits(), os.mlm_loss.to_bits());
+        assert_eq!(oi.nsp_loss.to_bits(), os.nsp_loss.to_bits());
+        let (gi, gs) = (grads_of(&mut inline), grads_of(&mut scheduled));
+        for (a, b) in gi.iter().zip(&gs) {
+            assert_eq!(a.as_slice(), b.as_slice(), "gradient mismatch");
         }
     }
 
@@ -1137,8 +845,7 @@ mod tests {
     fn checkpointed_scheduled_step_matches_inline_checkpointed() {
         let opts = TrainOptions { checkpoint: true, ..TrainOptions::default() };
         let (mut inline, batch) = setup(opts);
-        // Op grain is requested but checkpointing forces layer grain.
-        let (mut scheduled, _) = setup(TrainOptions { graph: true, grain: TaskGrain::Op, ..opts });
+        let (mut scheduled, _) = setup(TrainOptions { graph: true, ..opts });
         let mut tr_i = Tracer::new();
         let mut tr_s = Tracer::new();
         let oi = inline.train_step(&mut tr_i, &batch).unwrap();
@@ -1152,40 +859,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_evaluate_matches_inline_with_and_without_fusion() {
+    fn scheduled_evaluate_matches_inline() {
         let (inline, batch) = setup(TrainOptions::default());
+        let (scheduled, _) = setup(TrainOptions { graph: true, ..TrainOptions::default() });
         let mut tr = Tracer::disabled();
         let base = inline.evaluate(&mut tr, &batch).unwrap();
-        for (grain, fuse) in
-            [(TaskGrain::Layer, false), (TaskGrain::Op, false), (TaskGrain::Op, true)]
-        {
-            let (scheduled, _) =
-                setup(TrainOptions { graph: true, grain, fuse, ..TrainOptions::default() });
-            let out = scheduled.evaluate(&mut tr, &batch).unwrap();
-            assert_eq!(base.mlm_loss.to_bits(), out.mlm_loss.to_bits(), "{grain:?} fuse={fuse}");
-            assert_eq!(base.nsp_loss.to_bits(), out.nsp_loss.to_bits());
-            assert_eq!(base.mlm_accuracy.to_bits(), out.mlm_accuracy.to_bits());
-            assert_eq!(base.nsp_accuracy.to_bits(), out.nsp_accuracy.to_bits());
-        }
-    }
-
-    #[test]
-    fn eval_fusion_plan_merges_both_patterns_per_layer() {
-        let (bert, batch) = setup(TrainOptions {
-            graph: true,
-            grain: TaskGrain::Op,
-            fuse: true,
-            ..TrainOptions::default()
-        });
-        let plan = bert.plan_eval_fusion(&batch).unwrap();
-        // Per layer: fc1+gelu, residual1+layernorm1, residual2+layernorm2.
-        let layers = bert.config().layers;
-        assert_eq!(plan.pairs_merged(), 3 * layers, "{plan:?}");
-        let merged: Vec<&Vec<usize>> = plan.groups.iter().filter(|g| g.len() > 1).collect();
-        assert_eq!(merged.len(), 3 * layers);
-        // Layer grain has nothing to fuse.
-        let (coarse, _) = setup(TrainOptions { graph: true, ..TrainOptions::default() });
-        assert_eq!(coarse.plan_eval_fusion(&batch).unwrap().pairs_merged(), 0);
+        let out = scheduled.evaluate(&mut tr, &batch).unwrap();
+        assert_eq!(base.mlm_loss.to_bits(), out.mlm_loss.to_bits());
+        assert_eq!(base.nsp_loss.to_bits(), out.nsp_loss.to_bits());
+        assert_eq!(base.mlm_accuracy.to_bits(), out.mlm_accuracy.to_bits());
+        assert_eq!(base.nsp_accuracy.to_bits(), out.nsp_accuracy.to_bits());
     }
 
     #[test]

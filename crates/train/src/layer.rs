@@ -160,125 +160,19 @@ pub struct LayerGrads {
     pub ln2_beta: Tensor,
 }
 
-/// Saved activations for the backward pass. Fields are crate-visible so
-/// the step recorder (`crate::graph`) can assemble them from
-/// per-op-grain stage tasks.
+/// Saved activations for the backward pass.
 #[derive(Debug, Clone)]
 pub struct LayerActivations {
-    pub(crate) attn: AttentionState,
-    pub(crate) attn_drop: DropoutMask,
-    pub(crate) res1: Tensor,
-    pub(crate) ln1: LayerNormState,
-    pub(crate) ln1_out: Tensor,
-    pub(crate) fc1_out: Tensor,
-    pub(crate) gelu_out: Tensor,
-    pub(crate) ffn_drop: DropoutMask,
-    pub(crate) res2: Tensor,
-    pub(crate) ln2: LayerNormState,
-}
-
-// ---- Forward stages ----
-//
-// Layer-grain tasks (`layer_fwd`) and op-grain tasks in the step recorder
-// (`crate::graph`) both execute the forward pass through these stage
-// functions, so both grains emit one and the same kernel sequence by
-// construction.
-
-/// Self-attention sub-layer.
-pub(crate) fn stage_attn(
-    tracer: &mut Tracer,
-    lc: &LayerCtx,
-    p: &LayerParams,
-    x: &Tensor,
-    attn_mask: Option<&Tensor>,
-    seed: u64,
-) -> Result<(Tensor, AttentionState)> {
-    attention_fwd(tracer, &lc.attn, &p.attn, x, attn_mask, seed)
-}
-
-/// Post-attention dropout + residual add. Returns `(res1, mask)`.
-pub(crate) fn stage_res1(
-    tracer: &mut Tracer,
-    lc: &LayerCtx,
-    x: &Tensor,
-    attn_out: &Tensor,
-    seed: u64,
-) -> Result<(Tensor, DropoutMask)> {
-    let post_attn = lc.kctx("post_attn", Category::DropResidualNorm, Phase::Forward);
-    let (dropped, attn_drop) = dropout_fwd(tracer, &post_attn, attn_out, lc.dropout_p, seed ^ 1)?;
-    let res1 = residual_add(tracer, &post_attn, x, &dropped)?;
-    Ok((res1, attn_drop))
-}
-
-/// Post-attention LayerNorm.
-pub(crate) fn stage_ln1(
-    tracer: &mut Tracer,
-    lc: &LayerCtx,
-    p: &LayerParams,
-    res1: &Tensor,
-) -> Result<(Tensor, LayerNormState)> {
-    let ln1_ctx = lc.kctx("ln1", Category::DropResidualNorm, Phase::Forward);
-    layernorm_fwd(tracer, &ln1_ctx, res1, &p.ln1_gamma, &p.ln1_beta, 1e-5)
-}
-
-/// FC-1. Under a fused epilogue this is FC1+bias+GeLU in one kernel and
-/// the GeLU output comes back as `Some`; otherwise the caller follows up
-/// with [`stage_gelu`].
-pub(crate) fn stage_fc1(
-    tracer: &mut Tracer,
-    lc: &LayerCtx,
-    p: &LayerParams,
-    ln1_out: &Tensor,
-) -> Result<(Tensor, Option<Tensor>)> {
-    let fc1_ctx = lc.kctx("fc1", Category::FcGemm, Phase::Forward);
-    if lc.attn.fused_epilogue {
-        let (fc1_out, gelu_out) = linear_gelu_fwd(tracer, &fc1_ctx, ln1_out, &p.fc1_w, &p.fc1_b)?;
-        Ok((fc1_out, Some(gelu_out)))
-    } else {
-        Ok((linear_fwd(tracer, &fc1_ctx, ln1_out, &p.fc1_w, Some(&p.fc1_b))?, None))
-    }
-}
-
-/// Standalone GeLU (unfused epilogue only).
-pub(crate) fn stage_gelu(tracer: &mut Tracer, lc: &LayerCtx, fc1_out: &Tensor) -> Result<Tensor> {
-    let gelu_ctx = lc.kctx("ffn", Category::Gelu, Phase::Forward);
-    gelu_fwd(tracer, &gelu_ctx, fc1_out)
-}
-
-/// FC-2.
-pub(crate) fn stage_fc2(
-    tracer: &mut Tracer,
-    lc: &LayerCtx,
-    p: &LayerParams,
-    gelu_out: &Tensor,
-) -> Result<Tensor> {
-    let fc2_ctx = lc.kctx("fc2", Category::FcGemm, Phase::Forward);
-    linear_fwd(tracer, &fc2_ctx, gelu_out, &p.fc2_w, Some(&p.fc2_b))
-}
-
-/// Post-FFN dropout + residual add. Returns `(res2, mask)`.
-pub(crate) fn stage_res2(
-    tracer: &mut Tracer,
-    lc: &LayerCtx,
-    ln1_out: &Tensor,
-    fc2_out: &Tensor,
-    seed: u64,
-) -> Result<(Tensor, DropoutMask)> {
-    let post_ffn = lc.kctx("post_ffn", Category::DropResidualNorm, Phase::Forward);
-    let (dropped2, ffn_drop) = dropout_fwd(tracer, &post_ffn, fc2_out, lc.dropout_p, seed ^ 2)?;
-    let res2 = residual_add(tracer, &post_ffn, ln1_out, &dropped2)?;
-    Ok((res2, ffn_drop))
-}
-
-/// Post-FFN LayerNorm — the layer's output.
-pub(crate) fn stage_ln2(
-    tracer: &mut Tracer,
-    lc: &LayerCtx,
-    p: &LayerParams,
-    res2: &Tensor,
-) -> Result<(Tensor, LayerNormState)> {
-    let ln2_ctx = lc.kctx("ln2", Category::DropResidualNorm, Phase::Forward);
-    layernorm_fwd(tracer, &ln2_ctx, res2, &p.ln2_gamma, &p.ln2_beta, 1e-5)
+    attn: AttentionState,
+    attn_drop: DropoutMask,
+    res1: Tensor,
+    ln1: LayerNormState,
+    ln1_out: Tensor,
+    fc1_out: Tensor,
+    gelu_out: Tensor,
+    ffn_drop: DropoutMask,
+    res2: Tensor,
+    ln2: LayerNormState,
 }
 
 /// Layer forward. `x` is `[B*n, d_model]`; `attn_mask` is the additive
@@ -295,21 +189,32 @@ pub fn layer_fwd(
     attn_mask: Option<&Tensor>,
     seed: u64,
 ) -> Result<(Tensor, LayerActivations)> {
-    let (attn_out, attn_state) = stage_attn(tracer, lc, p, x, attn_mask, seed)?;
-    let (res1, attn_drop) = stage_res1(tracer, lc, x, &attn_out, seed)?;
-    let (ln1_out, ln1) = stage_ln1(tracer, lc, p, &res1)?;
+    let (attn_out, attn_state) = attention_fwd(tracer, &lc.attn, &p.attn, x, attn_mask, seed)?;
+
+    let post_attn = lc.kctx("post_attn", Category::DropResidualNorm, Phase::Forward);
+    let (dropped, attn_drop) = dropout_fwd(tracer, &post_attn, &attn_out, lc.dropout_p, seed ^ 1)?;
+    let res1 = residual_add(tracer, &post_attn, x, &dropped)?;
+    let ln1_ctx = lc.kctx("ln1", Category::DropResidualNorm, Phase::Forward);
+    let (ln1_out, ln1) = layernorm_fwd(tracer, &ln1_ctx, &res1, &p.ln1_gamma, &p.ln1_beta, 1e-5)?;
+
     // Under a fused epilogue FC1+bias+GeLU is one kernel, GeLU evaluated on
     // register-resident tiles; the pre-activation is kept for backward.
-    let (fc1_out, gelu_out) = match stage_fc1(tracer, lc, p, &ln1_out)? {
-        (fc1_out, Some(gelu_out)) => (fc1_out, gelu_out),
-        (fc1_out, None) => {
-            let gelu_out = stage_gelu(tracer, lc, &fc1_out)?;
-            (fc1_out, gelu_out)
-        }
+    let fc1_ctx = lc.kctx("fc1", Category::FcGemm, Phase::Forward);
+    let (fc1_out, gelu_out) = if lc.attn.fused_epilogue {
+        linear_gelu_fwd(tracer, &fc1_ctx, &ln1_out, &p.fc1_w, &p.fc1_b)?
+    } else {
+        let fc1_out = linear_fwd(tracer, &fc1_ctx, &ln1_out, &p.fc1_w, Some(&p.fc1_b))?;
+        let gelu_out = gelu_fwd(tracer, &lc.kctx("ffn", Category::Gelu, Phase::Forward), &fc1_out)?;
+        (fc1_out, gelu_out)
     };
-    let fc2_out = stage_fc2(tracer, lc, p, &gelu_out)?;
-    let (res2, ffn_drop) = stage_res2(tracer, lc, &ln1_out, &fc2_out, seed)?;
-    let (y, ln2) = stage_ln2(tracer, lc, p, &res2)?;
+    let fc2_ctx = lc.kctx("fc2", Category::FcGemm, Phase::Forward);
+    let fc2_out = linear_fwd(tracer, &fc2_ctx, &gelu_out, &p.fc2_w, Some(&p.fc2_b))?;
+
+    let post_ffn = lc.kctx("post_ffn", Category::DropResidualNorm, Phase::Forward);
+    let (dropped2, ffn_drop) = dropout_fwd(tracer, &post_ffn, &fc2_out, lc.dropout_p, seed ^ 2)?;
+    let res2 = residual_add(tracer, &post_ffn, &ln1_out, &dropped2)?;
+    let ln2_ctx = lc.kctx("ln2", Category::DropResidualNorm, Phase::Forward);
+    let (y, ln2) = layernorm_fwd(tracer, &ln2_ctx, &res2, &p.ln2_gamma, &p.ln2_beta, 1e-5)?;
 
     Ok((
         y,

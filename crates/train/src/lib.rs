@@ -32,12 +32,11 @@ pub mod scaler;
 pub mod sync;
 pub mod trainer;
 
-pub use bert::{non_copy_records, Bert, EvalOutput, StepOutput, TaskGrain, TrainOptions};
+pub use bert::{non_copy_records, Bert, EvalOutput, StepOutput, TrainOptions};
 pub use checkpoint::{ParamRecord, TrainCheckpoint};
 pub use data::{PretrainBatch, SyntheticCorpus};
 pub use defer::{BucketSink, BucketedAverager, GradObserver};
 pub use error::{RecoveryPolicy, TrainError};
-pub use graph::fusion_patterns;
 pub use layer::{layer_bwd, layer_fwd, LayerActivations, LayerCtx, LayerGrads, LayerParams};
 pub use optim::{Adam, Lamb, Optimizer, OptimizerState, ParamSlot, Sgd, SlotState, WarmupSchedule};
 pub use scaler::{LossScaler, ScalerState};

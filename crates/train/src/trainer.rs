@@ -13,6 +13,7 @@ use crate::optim::{Optimizer, ParamSlot};
 use crate::scaler::LossScaler;
 use crate::sync::GradSync;
 use bertscope_tensor::{FaultPlan, Tensor, Tracer};
+use std::collections::HashMap;
 
 /// What one [`Trainer::micro_step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -480,41 +481,68 @@ impl<O: Optimizer> Trainer<O> {
     }
 
     /// Restore training state from a checkpoint into this trainer and the
-    /// given model, discarding any open accumulation window.
+    /// given model, discarding any open accumulation window. The whole
+    /// checkpoint is validated before anything is applied, so a rejected
+    /// checkpoint leaves the model and the trainer untouched.
     ///
     /// # Errors
     ///
     /// Returns [`TrainError::Checkpoint`] when the checkpoint's parameter
-    /// inventory (names, order, shapes) does not match the model's.
+    /// inventory (names, order, shapes, value counts) does not match the
+    /// model's, or when an optimizer slot names no model parameter or has
+    /// moment or master lengths other than that parameter's element count.
     pub fn restore(&mut self, ckpt: &TrainCheckpoint, bert: &mut Bert) -> Result<(), TrainError> {
-        {
-            let mut values = bert.param_values_mut();
-            if values.len() != ckpt.params.len() {
+        let mut values = bert.param_values_mut();
+        if values.len() != ckpt.params.len() {
+            return Err(TrainError::Checkpoint(format!(
+                "checkpoint has {} parameters, model has {}",
+                ckpt.params.len(),
+                values.len()
+            )));
+        }
+        let mut numel: HashMap<&str, usize> = HashMap::with_capacity(values.len());
+        let mut restored = Vec::with_capacity(values.len());
+        for ((name, t), rec) in values.iter().zip(&ckpt.params) {
+            if *name != rec.name {
                 return Err(TrainError::Checkpoint(format!(
-                    "checkpoint has {} parameters, model has {}",
-                    ckpt.params.len(),
-                    values.len()
+                    "parameter order mismatch: model `{name}` vs checkpoint `{}`",
+                    rec.name
                 )));
             }
-            for ((name, t), rec) in values.iter_mut().zip(&ckpt.params) {
-                if *name != rec.name {
+            if t.dims() != &rec.dims[..] {
+                return Err(TrainError::Checkpoint(format!(
+                    "`{name}` shape mismatch: model {:?} vs checkpoint {:?}",
+                    t.dims(),
+                    rec.dims
+                )));
+            }
+            // Stored values are already quantized to the logical dtype, so
+            // the roundtrip through to_dtype is bit-exact.
+            restored.push(Tensor::from_vec(rec.data.clone(), &rec.dims)?.to_dtype(rec.dtype));
+            numel.insert(&rec.name, t.numel());
+        }
+        for slot in &ckpt.optimizer.slots {
+            let Some(&n) = numel.get(slot.name.as_str()) else {
+                return Err(TrainError::Checkpoint(format!(
+                    "optimizer slot `{}` names no model parameter",
+                    slot.name
+                )));
+            };
+            for (field, len) in
+                [("m", slot.m.len()), ("v", slot.v.len()), ("master", slot.master.len())]
+            {
+                if len != n {
                     return Err(TrainError::Checkpoint(format!(
-                        "parameter order mismatch: model `{name}` vs checkpoint `{}`",
-                        rec.name
+                        "optimizer slot `{}`: {field} has {len} values, the parameter has {n}",
+                        slot.name
                     )));
                 }
-                if t.dims() != &rec.dims[..] {
-                    return Err(TrainError::Checkpoint(format!(
-                        "`{name}` shape mismatch: model {:?} vs checkpoint {:?}",
-                        t.dims(),
-                        rec.dims
-                    )));
-                }
-                // Stored values are already quantized to the logical dtype,
-                // so the roundtrip through to_dtype is bit-exact.
-                **t = Tensor::from_vec(rec.data.clone(), &rec.dims)?.to_dtype(rec.dtype);
             }
         }
+        for ((_, t), new) in values.iter_mut().zip(restored) {
+            **t = new;
+        }
+        drop(values);
         bert.set_step(ckpt.bert_step);
         self.micro_steps = ckpt.micro_steps;
         self.updates = ckpt.updates;

@@ -114,3 +114,51 @@ fn restore_rejects_a_mismatched_model() {
     let err = other_trainer.restore(&ckpt, &mut other).expect_err("shape mismatch");
     assert!(err.to_string().contains("checkpoint"), "{err}");
 }
+
+/// A trainer and model that have taken one step, and a checkpoint of a
+/// *different* run of the same shape to restore into them.
+fn restore_target() -> (Trainer<Lamb>, Bert, TrainCheckpoint) {
+    let cfg = small_cfg();
+    let corpus = SyntheticCorpus::new(cfg.vocab);
+    let mut rng = StdRng::seed_from_u64(73);
+    let batch = corpus.generate_batch(&mut rng, &cfg);
+    let mut tr = Tracer::disabled();
+    let mut source = Bert::new(cfg, TrainOptions::default(), 5);
+    let mut source_trainer = Trainer::new(Lamb::new(0.02), 1);
+    source_trainer.micro_step(&mut tr, &mut source, &batch).expect("clean step");
+    let ckpt = source_trainer.checkpoint(&mut source).expect("boundary");
+    let mut bert = Bert::new(cfg, TrainOptions::default(), 6);
+    let mut trainer = Trainer::new(Lamb::new(0.02), 1);
+    trainer.micro_step(&mut tr, &mut bert, &batch).expect("clean step");
+    (trainer, bert, ckpt)
+}
+
+/// Restoring `bad` fails and leaves weights, optimizer state, scaler and
+/// counters exactly as they were.
+fn assert_rejected_untouched(bad: &TrainCheckpoint) -> String {
+    let (mut trainer, mut bert, _) = restore_target();
+    let before = trainer.checkpoint(&mut bert).expect("boundary");
+    let err = trainer.restore(bad, &mut bert).expect_err("inconsistent checkpoint");
+    let after = trainer.checkpoint(&mut bert).expect("boundary");
+    assert_eq!(before, after, "a rejected restore changed the training state");
+    err.to_string()
+}
+
+#[test]
+fn restore_rejects_a_short_master_slot_and_changes_nothing() {
+    let (_, _, mut ckpt) = restore_target();
+    let slot = ckpt.optimizer.slots.last_mut().expect("LAMB keeps state");
+    slot.master.pop();
+    let err = assert_rejected_untouched(&ckpt);
+    assert!(err.contains("master"), "{err}");
+}
+
+#[test]
+fn restore_rejects_a_last_parameter_shape_mismatch_and_changes_nothing() {
+    let (_, _, mut ckpt) = restore_target();
+    let last = ckpt.params.last_mut().expect("parameters");
+    let numel: usize = last.dims.iter().product();
+    last.dims = vec![1, numel];
+    let err = assert_rejected_untouched(&ckpt);
+    assert!(err.contains("shape mismatch"), "{err}");
+}

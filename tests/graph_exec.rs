@@ -1,18 +1,15 @@
 //! The recorded step, verified from the outside: every training step (and
 //! inference pass) is recorded as a task graph, and running that graph on
 //! the scheduler instead of inline (eager) must change *when* work runs,
-//! never *what* it computes — at any worker count, at either task grain,
-//! checkpointed, and with the fusion pass on.
+//! never *what* it computes — at any worker count, for training (plain and
+//! checkpointed) and for evaluation.
 //!
-//! The fusion pass itself is pinned through `Bert::plan_eval_fusion`: at
-//! op grain the plan must merge both legal patterns (FC1→GeLU and
-//! residual→LayerNorm), and at layer grain it must merge nothing. The
-//! scheduler's checkpointed backward is pinned through its captured run
-//! reports: no segment recomputes before backward reaches it.
+//! The scheduler's checkpointed backward is also pinned through its
+//! captured run reports: no segment recomputes before backward reaches it.
 
 use bertscope_model::BertConfig;
 use bertscope_tensor::{pool, sched, Tracer};
-use bertscope_train::{Bert, Lamb, SyntheticCorpus, TaskGrain, TrainOptions, Trainer};
+use bertscope_train::{Bert, Lamb, SyntheticCorpus, TrainOptions, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -80,30 +77,20 @@ fn graph_training_is_bit_identical_to_eager_across_threads_and_configs() {
     }
 }
 
-/// Op-grain recording (one task per forward stage) computes the same bits
-/// on the scheduler as inline; checkpointing composes too (it forces layer
-/// grain for the recompute segments).
+/// Checkpointed training (segment recompute during backward) computes the
+/// same bits on the scheduler as inline.
 #[test]
 fn op_grain_and_checkpointed_graph_training_match_eager() {
     let cfg = BertConfig::tiny();
-    let variants = [
-        TrainOptions { grain: TaskGrain::Op, ..TrainOptions::default() },
-        TrainOptions { checkpoint: true, ..TrainOptions::default() },
-    ];
-    for opts in variants {
-        // The reference is the inline run at the default (layer) grain.
-        let plain = TrainOptions { checkpoint: opts.checkpoint, ..TrainOptions::default() };
-        let reference = pool::with_threads(1, || run_training(cfg, plain));
-        for threads in [1usize, 2, 8] {
-            let scheduled = pool::with_threads(threads, || {
-                run_training(cfg, TrainOptions { graph: true, ..opts })
-            });
-            assert_eq!(
-                scheduled, reference,
-                "scheduled variant (grain {:?}, checkpoint {}) diverged at {threads} threads",
-                opts.grain, opts.checkpoint
-            );
-        }
+    let opts = TrainOptions { checkpoint: true, ..TrainOptions::default() };
+    let reference = pool::with_threads(1, || run_training(cfg, opts));
+    for threads in [1usize, 2, 8] {
+        let scheduled =
+            pool::with_threads(threads, || run_training(cfg, TrainOptions { graph: true, ..opts }));
+        assert_eq!(
+            scheduled, reference,
+            "scheduled checkpointed training diverged at {threads} threads"
+        );
     }
 }
 
@@ -155,9 +142,8 @@ fn scheduled_recompute_waits_for_its_upstream_gradient() {
     }
 }
 
-/// Inference through the fused graph: the fusion pass merges task pairs
-/// but every loss and accuracy bit matches the inline (eager) evaluation,
-/// at every thread count.
+/// Inference on the scheduler: every loss and accuracy bit matches the
+/// inline (eager) evaluation, at every thread count.
 #[test]
 fn fused_graph_evaluation_matches_eager_across_threads() {
     let cfg = BertConfig::tiny();
@@ -167,52 +153,15 @@ fn fused_graph_evaluation_matches_eager_across_threads() {
     let inline = Bert::new(cfg, TrainOptions::default(), 9);
     let mut tr = Tracer::disabled();
     let base = inline.evaluate(&mut tr, &batch).expect("inline evaluate");
+    let scheduled = Bert::new(cfg, TrainOptions { graph: true, ..TrainOptions::default() }, 9);
     for threads in [1usize, 2, 8] {
-        for fuse in [false, true] {
-            let opts =
-                TrainOptions { graph: true, grain: TaskGrain::Op, fuse, ..TrainOptions::default() };
-            let scheduled = Bert::new(cfg, opts, 9);
-            let out = pool::with_threads(threads, || {
-                let mut tr = Tracer::disabled();
-                scheduled.evaluate(&mut tr, &batch).expect("scheduled evaluate")
-            });
-            assert_eq!(base.mlm_loss.to_bits(), out.mlm_loss.to_bits(), "fuse={fuse}");
-            assert_eq!(base.nsp_loss.to_bits(), out.nsp_loss.to_bits(), "fuse={fuse}");
-            assert_eq!(base.mlm_accuracy.to_bits(), out.mlm_accuracy.to_bits(), "fuse={fuse}");
-            assert_eq!(base.nsp_accuracy.to_bits(), out.nsp_accuracy.to_bits(), "fuse={fuse}");
-        }
+        let out = pool::with_threads(threads, || {
+            let mut tr = Tracer::disabled();
+            scheduled.evaluate(&mut tr, &batch).expect("scheduled evaluate")
+        });
+        assert_eq!(base.mlm_loss.to_bits(), out.mlm_loss.to_bits(), "{threads} threads");
+        assert_eq!(base.nsp_loss.to_bits(), out.nsp_loss.to_bits(), "{threads} threads");
+        assert_eq!(base.mlm_accuracy.to_bits(), out.mlm_accuracy.to_bits(), "{threads} threads");
+        assert_eq!(base.nsp_accuracy.to_bits(), out.nsp_accuracy.to_bits(), "{threads} threads");
     }
-}
-
-/// The fusion plan merges both distinct task-pair patterns — FC1→GeLU and
-/// residual→LayerNorm — on every layer at op grain, and nothing at layer
-/// grain (no label matches a pattern there).
-#[test]
-fn eval_fusion_plan_pins_both_patterns() {
-    let cfg = BertConfig::tiny();
-    let corpus = SyntheticCorpus::new(cfg.vocab);
-    let mut rng = StdRng::seed_from_u64(29);
-    let batch = corpus.generate_batch(&mut rng, &cfg);
-    let opts =
-        TrainOptions { graph: true, grain: TaskGrain::Op, fuse: true, ..TrainOptions::default() };
-    let bert = Bert::new(cfg, opts, 9);
-    let plan = bert.plan_eval_fusion(&batch).expect("fusion plan");
-    // fc1+gelu, residual1+layernorm1, residual2+layernorm2 per layer.
-    assert_eq!(plan.pairs_merged(), 3 * cfg.layers, "fused groups: {:?}", plan.fused);
-    assert!(
-        plan.fused.iter().any(|l| l.contains("fc1") && l.contains("gelu")),
-        "FC1+GeLU pattern missing: {:?}",
-        plan.fused
-    );
-    assert!(
-        plan.fused.iter().any(|l| l.contains("residual") && l.contains("layernorm")),
-        "residual+LayerNorm pattern missing: {:?}",
-        plan.fused
-    );
-    let coarse = Bert::new(cfg, TrainOptions { graph: true, ..TrainOptions::default() }, 9);
-    assert_eq!(
-        coarse.plan_eval_fusion(&batch).expect("coarse plan").pairs_merged(),
-        0,
-        "layer-grain graphs have nothing to fuse"
-    );
 }

@@ -200,9 +200,8 @@ fn whole_model_graph_trace_matches_eager_fused_epilogue() {
 }
 
 #[test]
-fn whole_model_graph_trace_matches_eager_at_op_grain() {
-    use bertscope_train::TaskGrain;
-    graph_trace_matches_eager(TrainOptions { grain: TaskGrain::Op, ..TrainOptions::default() });
+fn whole_model_graph_trace_matches_eager() {
+    graph_trace_matches_eager(TrainOptions::default());
 }
 
 #[test]
