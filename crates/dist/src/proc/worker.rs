@@ -218,6 +218,57 @@ struct RingShared {
     stats_log: Vec<RingStats>,
 }
 
+impl RingShared {
+    /// Arm the window's pending socket faults. `arm_faults` overwrites, so
+    /// this runs once per window, never per bucket.
+    fn arm_window_faults(&mut self) {
+        let faults = std::mem::take(&mut self.pending_faults);
+        if let Some(ring) = self.ring.as_mut() {
+            ring.arm_faults(faults);
+        }
+    }
+
+    /// AllReduce `data` over the ring, scale it to the mean and log the
+    /// stats. A transport error drops the ring: a reconfiguration must
+    /// replace it before the window close is retried.
+    fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<RingStats, String> {
+        let Some(ring) = self.ring.as_mut() else {
+            return Err("ring lost before bucket collective".into());
+        };
+        let stats = match ring.allreduce(data) {
+            Ok(stats) => stats,
+            Err(e) => {
+                self.ring = None;
+                return Err(e.to_string());
+            }
+        };
+        let inv = 1.0 / stats.world as f32;
+        for v in data {
+            *v *= inv;
+        }
+        self.stats_log.push(stats);
+        Ok(stats)
+    }
+}
+
+/// The `Comm` record of one AllReduce of `elems` values held in the
+/// buffers `ids`, which it both reads and writes.
+fn comm_record(name: String, elems: usize, stats: &RingStats, ids: &[BufId]) -> OpRecord {
+    OpRecord {
+        name,
+        kind: OpKind::Comm,
+        category: Category::Comm,
+        phase: Phase::Communication,
+        layer: None,
+        gemm: None,
+        flops: elems as u64 * (stats.world as u64 - 1),
+        bytes_read: stats.bytes_sent,
+        bytes_written: stats.bytes_sent,
+        dtype: DType::F32,
+        access: AccessSet::new(ids, ids),
+    }
+}
+
 /// The trainer-facing bridge: flattens the averaged gradients, AllReduces
 /// them over the socket ring, rescales by the active world size and
 /// writes them back — tracing the whole exchange as a `Comm` op over the
@@ -235,31 +286,17 @@ impl GradSync for RingGradSync {
 
     fn sync(&mut self, tracer: &mut Tracer, grads: &mut [Tensor]) -> Result<(), SyncError> {
         let mut shared = self.shared.lock().expect("ring lock");
-        let faults = std::mem::take(&mut shared.pending_faults);
-        let Some(ring) = shared.ring.as_mut() else {
+        shared.arm_window_faults();
+        let Some(epoch) = shared.ring.as_ref().map(|r| r.epoch) else {
             // World of one (or no ring yet): the local mean is the global
             // mean.
             return Ok(());
         };
-        let world = ring.world;
         let mut flat: Vec<f32> = Vec::with_capacity(grads.iter().map(|g| g.as_slice().len()).sum());
         for g in grads.iter() {
             flat.extend_from_slice(g.as_slice());
         }
-        ring.arm_faults(faults);
-        let stats = match ring.allreduce(&mut flat) {
-            Ok(s) => s,
-            Err(e) => {
-                // The ring is broken; a reconfiguration must replace it
-                // before the window close is retried.
-                shared.ring = None;
-                return Err(SyncError::new(e.to_string()));
-            }
-        };
-        let inv = 1.0 / world as f32;
-        for v in &mut flat {
-            *v *= inv;
-        }
+        let stats = shared.allreduce_mean(&mut flat).map_err(SyncError::new)?;
         let mut at = 0;
         let mut ids = Vec::with_capacity(grads.len());
         for g in grads.iter_mut() {
@@ -268,20 +305,8 @@ impl GradSync for RingGradSync {
             at += dst.len();
             ids.push(g.buf_id());
         }
-        tracer.record(OpRecord {
-            name: format!("proc.allreduce epoch{} w{world}", ring.epoch),
-            kind: OpKind::Comm,
-            category: Category::Comm,
-            phase: Phase::Communication,
-            layer: None,
-            gemm: None,
-            flops: flat.len() as u64 * (world as u64 - 1),
-            bytes_read: stats.bytes_sent,
-            bytes_written: stats.bytes_sent,
-            dtype: DType::F32,
-            access: AccessSet { reads: ids.clone(), writes: ids, allocs: vec![], frees: vec![] },
-        });
-        shared.stats_log.push(stats);
+        let name = format!("proc.allreduce epoch{epoch} w{}", stats.world);
+        tracer.record(comm_record(name, flat.len(), &stats, &ids));
         Ok(())
     }
 }
@@ -322,31 +347,11 @@ fn comm_thread(
     while let Ok((bucket, range, mut data)) = rx.recv() {
         let mut sh = shared.lock().expect("ring lock");
         if !armed {
-            // This window's socket faults arm once, like the eager path.
-            let faults = std::mem::take(&mut sh.pending_faults);
-            if let Some(ring) = sh.ring.as_mut() {
-                ring.arm_faults(faults);
-            }
+            sh.arm_window_faults();
             armed = true;
         }
-        let Some(ring) = sh.ring.as_mut() else {
-            return Err("ring lost before bucket collective".into());
-        };
-        let world = ring.world;
-        match ring.allreduce(&mut data) {
-            Ok(stats) => {
-                let inv = 1.0 / world as f32;
-                for v in &mut data {
-                    *v *= inv;
-                }
-                sh.stats_log.push(stats);
-                out.push((bucket, range, data, stats));
-            }
-            Err(e) => {
-                sh.ring = None;
-                return Err(e.to_string());
-            }
-        }
+        let stats = sh.allreduce_mean(&mut data)?;
+        out.push((bucket, range, data, stats));
     }
     Ok(out)
 }
@@ -428,21 +433,10 @@ fn overlapped_close(
             .filter(|(_, w)| w[0] < range.end && range.start < w[1])
             .map(|(t, _)| t.buf_id())
             .collect();
-        tracer.record(OpRecord {
-            name: format!("proc.allreduce.bucket{b} w{}", stats.world),
-            kind: OpKind::Comm,
-            category: Category::Comm,
-            phase: Phase::Communication,
-            layer: None,
-            gemm: None,
-            flops: range.len() as u64 * (stats.world as u64 - 1),
-            bytes_read: stats.bytes_sent,
-            bytes_written: stats.bytes_sent,
-            dtype: DType::F32,
-            access: AccessSet { reads: ids.clone(), writes: ids, allocs: vec![], frees: vec![] },
-        });
+        let name = format!("proc.allreduce.bucket{b} w{}", stats.world);
+        tracer.record(comm_record(name, range.len(), stats, &ids));
     }
-    trainer.close_window_presynced(tracer, bert, averaged)
+    trainer.close_window_presynced(tracer, bert, &averaged)
 }
 
 /// FNV-1a over parameter names and raw f32 bytes — the replica-agreement

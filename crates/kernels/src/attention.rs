@@ -18,7 +18,8 @@ use bertscope_tensor::{
     GemmSpec, OpKind, Phase, Tensor, TensorError, Tracer, Transpose,
 };
 
-/// Learned parameters of one attention block.
+/// Learned parameters of one attention block, or their gradients
+/// ([`attention_bwd`] returns them in this struct).
 ///
 /// Weights are `[d_model, d_model]`, biases `[d_model]`.
 #[derive(Debug, Clone)]
@@ -38,27 +39,6 @@ pub struct AttentionParams {
     /// Output projection weight.
     pub wo: Tensor,
     /// Output projection bias.
-    pub bo: Tensor,
-}
-
-/// Gradients matching [`AttentionParams`] field-for-field.
-#[derive(Debug, Clone)]
-pub struct AttentionGrads {
-    /// d(loss)/d(wq).
-    pub wq: Tensor,
-    /// d(loss)/d(bq).
-    pub bq: Tensor,
-    /// d(loss)/d(wk).
-    pub wk: Tensor,
-    /// d(loss)/d(bk).
-    pub bk: Tensor,
-    /// d(loss)/d(wv).
-    pub wv: Tensor,
-    /// d(loss)/d(bv).
-    pub bv: Tensor,
-    /// d(loss)/d(wo).
-    pub wo: Tensor,
-    /// d(loss)/d(bo).
     pub bo: Tensor,
 }
 
@@ -365,7 +345,8 @@ pub fn attention_fwd(
     ))
 }
 
-/// Multi-head attention backward. Returns `(dx, grads)`.
+/// Multi-head attention backward. Returns `dx` and the parameter
+/// gradients.
 ///
 /// # Errors
 ///
@@ -377,7 +358,7 @@ pub fn attention_bwd(
     p: &AttentionParams,
     state: &AttentionState,
     dy: &Tensor,
-) -> Result<(Tensor, AttentionGrads)> {
+) -> Result<(Tensor, AttentionParams)> {
     cfg.validate()?;
     let t = cfg.tokens();
     if dy.dims() != [t, cfg.d_model] {
@@ -490,7 +471,7 @@ pub fn attention_bwd(
 
     Ok((
         dx_qkv,
-        AttentionGrads {
+        AttentionParams {
             wq: dwq,
             bq: dbq,
             wk: dwk,

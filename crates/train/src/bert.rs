@@ -9,8 +9,9 @@
 //! the `trace_matches_graph` integration test enforces this.
 
 use crate::data::PretrainBatch;
-use crate::layer::{LayerCtx, LayerGrads, LayerParams};
+use crate::layer::{LayerCtx, LayerParams};
 use crate::optim::ParamSlot;
+use crate::params::{EmbeddingParams, HeadParams, Params};
 use bertscope_kernels::elementwise::residual_add;
 use bertscope_kernels::embedding::embedding_fwd;
 use bertscope_kernels::norm::layernorm_fwd;
@@ -25,6 +26,10 @@ use rand::SeedableRng;
 
 /// Execution options for the trainable model.
 #[derive(Debug, Clone, Copy)]
+#[allow(
+    clippy::struct_excessive_bools,
+    reason = "independent switches; callers name every field in struct literals"
+)]
 pub struct TrainOptions {
     /// Numeric precision (mixed precision keeps f32 loss and optimizer).
     pub precision: Precision,
@@ -122,54 +127,16 @@ pub(crate) fn top1_accuracy(logits: &Tensor, classes: usize, targets: &[usize]) 
     }
 }
 
-/// Embedding and output-head parameters (everything outside the layers).
-#[derive(Debug, Clone)]
-pub(crate) struct HeadParams {
-    pub(crate) word_emb: Tensor,
-    pub(crate) pos_emb: Tensor,
-    pub(crate) seg_emb: Tensor,
-    pub(crate) emb_ln_gamma: Tensor,
-    pub(crate) emb_ln_beta: Tensor,
-    pub(crate) mlm_dense_w: Tensor,
-    pub(crate) mlm_dense_b: Tensor,
-    pub(crate) mlm_ln_gamma: Tensor,
-    pub(crate) mlm_ln_beta: Tensor,
-    pub(crate) decoder_bias: Tensor,
-    pub(crate) pooler_w: Tensor,
-    pub(crate) pooler_b: Tensor,
-    pub(crate) cls_w: Tensor,
-    pub(crate) cls_b: Tensor,
-}
-
-/// Gradients mirroring [`HeadParams`].
-#[derive(Debug, Clone)]
-pub(crate) struct HeadGrads {
-    pub(crate) word_emb: Tensor,
-    pub(crate) pos_emb: Tensor,
-    pub(crate) seg_emb: Tensor,
-    pub(crate) emb_ln_gamma: Tensor,
-    pub(crate) emb_ln_beta: Tensor,
-    pub(crate) mlm_dense_w: Tensor,
-    pub(crate) mlm_dense_b: Tensor,
-    pub(crate) mlm_ln_gamma: Tensor,
-    pub(crate) mlm_ln_beta: Tensor,
-    pub(crate) decoder_bias: Tensor,
-    pub(crate) pooler_w: Tensor,
-    pub(crate) pooler_b: Tensor,
-    pub(crate) cls_w: Tensor,
-    pub(crate) cls_b: Tensor,
-}
-
 /// The executable BERT pre-training model.
 #[derive(Debug)]
 pub struct Bert {
     pub(crate) cfg: BertConfig,
     pub(crate) opts: TrainOptions,
-    pub(crate) heads: HeadParams,
-    pub(crate) layers: Vec<LayerParams>,
-    layer_param_names: Vec<Vec<String>>,
-    pub(crate) layer_grads: Vec<Option<LayerGrads>>,
-    pub(crate) head_grads: Option<HeadGrads>,
+    pub(crate) params: Params,
+    /// The last step's gradients, in the same groups as `params`.
+    pub(crate) grads: Option<Params>,
+    /// Canonical slot names, built once from the inventory.
+    names: Vec<String>,
     pub(crate) step: u64,
 }
 
@@ -185,12 +152,14 @@ impl Bert {
         let mut rng = StdRng::seed_from_u64(seed);
         let d = cfg.d_model;
         let std = 0.02;
-        let mut heads = HeadParams {
-            word_emb: randn(&mut rng, &[cfg.vocab, d], std),
-            pos_emb: randn(&mut rng, &[cfg.max_position, d], std),
-            seg_emb: randn(&mut rng, &[2, d], std),
-            emb_ln_gamma: Tensor::ones(&[d]),
-            emb_ln_beta: Tensor::zeros(&[d]),
+        let emb = EmbeddingParams {
+            word: randn(&mut rng, &[cfg.vocab, d], std),
+            position: randn(&mut rng, &[cfg.max_position, d], std),
+            segment: randn(&mut rng, &[2, d], std),
+            ln_gamma: Tensor::ones(&[d]),
+            ln_beta: Tensor::zeros(&[d]),
+        };
+        let heads = HeadParams {
             mlm_dense_w: randn(&mut rng, &[d, d], std),
             mlm_dense_b: Tensor::zeros(&[d]),
             mlm_ln_gamma: Tensor::ones(&[d]),
@@ -201,64 +170,16 @@ impl Bert {
             cls_w: randn(&mut rng, &[d, 2], std),
             cls_b: Tensor::zeros(&[2]),
         };
-        let mut layers: Vec<LayerParams> =
-            (0..cfg.layers).map(|_| LayerParams::init(&mut rng, &cfg)).collect();
+        let layers = (0..cfg.layers).map(|_| LayerParams::init(&mut rng, &cfg)).collect();
+        let mut params = Params { emb, layers, heads };
         let dt = opts.precision.activation_dtype();
         if dt.is_half() {
-            layers = layers.iter().map(|l| l.to_dtype(dt)).collect();
-            heads = HeadParams {
-                word_emb: heads.word_emb.to_dtype(dt),
-                pos_emb: heads.pos_emb.to_dtype(dt),
-                seg_emb: heads.seg_emb.to_dtype(dt),
-                emb_ln_gamma: heads.emb_ln_gamma.to_dtype(dt),
-                emb_ln_beta: heads.emb_ln_beta.to_dtype(dt),
-                mlm_dense_w: heads.mlm_dense_w.to_dtype(dt),
-                mlm_dense_b: heads.mlm_dense_b.to_dtype(dt),
-                mlm_ln_gamma: heads.mlm_ln_gamma.to_dtype(dt),
-                mlm_ln_beta: heads.mlm_ln_beta.to_dtype(dt),
-                decoder_bias: heads.decoder_bias.to_dtype(dt),
-                pooler_w: heads.pooler_w.to_dtype(dt),
-                pooler_b: heads.pooler_b.to_dtype(dt),
-                cls_w: heads.cls_w.to_dtype(dt),
-                cls_b: heads.cls_b.to_dtype(dt),
-            };
+            for t in params.tensors_mut() {
+                *t = t.to_dtype(dt);
+            }
         }
-        let n_layers = cfg.layers;
-        let layer_param_names = (0..n_layers)
-            .map(|l| {
-                [
-                    "attn.wq",
-                    "attn.bq",
-                    "attn.wk",
-                    "attn.bk",
-                    "attn.wv",
-                    "attn.bv",
-                    "attn.wo",
-                    "attn.bo",
-                    "ln1.gamma",
-                    "ln1.beta",
-                    "fc1.weight",
-                    "fc1.bias",
-                    "fc2.weight",
-                    "fc2.bias",
-                    "ln2.gamma",
-                    "ln2.beta",
-                ]
-                .iter()
-                .map(|s| format!("l{l}.{s}"))
-                .collect()
-            })
-            .collect();
-        Bert {
-            cfg,
-            opts,
-            heads,
-            layers,
-            layer_param_names,
-            layer_grads: vec![None; n_layers],
-            head_grads: None,
-            step: 0,
-        }
+        let names = Params::names(cfg.layers);
+        Bert { cfg, opts, params, grads: None, names, step: 0 }
     }
 
     /// The model configuration.
@@ -312,7 +233,7 @@ impl Bert {
         )
     }
 
-    /// Embedding forward: gather + sum + LayerNorm + dropout.
+    /// Embedding forward: gather + sum + `LayerNorm` + dropout.
     pub(crate) fn embedding_fwd_pass(
         &self,
         tracer: &mut Tracer,
@@ -322,52 +243,22 @@ impl Bert {
     ) -> Result<(Tensor, EmbeddingActs)> {
         let fwd = Phase::Forward;
         let ctx = self.kctx("emb", Category::Embedding, fwd);
-        let word = embedding_fwd(tracer, &ctx, &self.heads.word_emb, &batch.input_ids)?;
-        let pos = embedding_fwd(tracer, &ctx, &self.heads.pos_emb, &batch.position_ids)?;
-        let seg = embedding_fwd(tracer, &ctx, &self.heads.seg_emb, &batch.segment_ids)?;
+        let word = embedding_fwd(tracer, &ctx, &self.params.emb.word, &batch.input_ids)?;
+        let pos = embedding_fwd(tracer, &ctx, &self.params.emb.position, &batch.position_ids)?;
+        let seg = embedding_fwd(tracer, &ctx, &self.params.emb.segment, &batch.segment_ids)?;
         let sum1 = residual_add(tracer, &ctx, &word, &pos)?;
         let sum2 = residual_add(tracer, &ctx, &sum1, &seg)?;
         let (normed, ln_state) = layernorm_fwd(
             tracer,
             &ctx,
             &sum2,
-            &self.heads.emb_ln_gamma,
-            &self.heads.emb_ln_beta,
+            &self.params.emb.ln_gamma,
+            &self.params.emb.ln_beta,
             1e-5,
         )?;
         let (x0, drop) =
             bertscope_kernels::dropout::dropout_fwd(tracer, &ctx, &normed, dropout_p, seed)?;
         Ok((x0, EmbeddingActs { sum2, ln_state, drop }))
-    }
-
-    /// Report layer `l`'s sixteen gradients in canonical
-    /// [`Bert::param_slots`] order (base slot `5 + l * 16`).
-    pub(crate) fn observe_layer(
-        obs: &mut dyn crate::defer::GradObserver,
-        l: usize,
-        g: &LayerGrads,
-    ) {
-        obs.group_ready(
-            5 + l * 16,
-            &[
-                &g.attn.wq,
-                &g.attn.bq,
-                &g.attn.wk,
-                &g.attn.bk,
-                &g.attn.wv,
-                &g.attn.bv,
-                &g.attn.wo,
-                &g.attn.bo,
-                &g.ln1_gamma,
-                &g.ln1_beta,
-                &g.fc1_w,
-                &g.fc1_b,
-                &g.fc2_w,
-                &g.fc2_b,
-                &g.ln2_gamma,
-                &g.ln2_beta,
-            ],
-        );
     }
 
     /// One full training step: forward, loss, backward. Gradients are stored
@@ -404,10 +295,9 @@ impl Bert {
         let seed0 = self.step * 1_000_003;
         // The mask is untraced constant data: compute it before recording.
         let mask = self.attention_mask(batch)?;
-        let (out, layer_grads, head_grads) =
+        let (out, grads) =
             crate::graph::run_train_graph(self, tracer, batch, &mask, seed0, observer)?;
-        self.layer_grads = layer_grads;
-        self.head_grads = Some(head_grads);
+        self.grads = Some(grads);
         Ok(out)
     }
 
@@ -466,232 +356,42 @@ impl Bert {
         ctx.trace_acc(tracer, "scatter_cls", OpKind::Copy, 0, bytes, bytes, access);
     }
 
-    /// Enumerate `(name, parameter, gradient)` slots in the canonical
-    /// `bertscope-model` inventory order, for the optimizers.
+    /// Enumerate `(name, parameter, gradient)` slots for the optimizers.
+    /// The crate's parameter inventory is the one source of slot order:
+    /// embeddings, layers `l0..`, output heads, which is the canonical
+    /// `bertscope-model` order. Observer slot bases, checkpoints and
+    /// [`Bert::param_values_mut`] follow the same order.
     ///
     /// # Panics
     ///
     /// Panics when called before any [`Bert::train_step`] (no gradients).
     #[must_use]
     pub fn param_slots(&mut self) -> Vec<ParamSlot<'_>> {
-        let heads_g = self.head_grads.as_ref().expect("train_step before param_slots");
-        let mut slots = Vec::new();
-        let hp = &mut self.heads;
-        slots.push(ParamSlot {
-            name: "embeddings.word",
-            value: &mut hp.word_emb,
-            grad: &heads_g.word_emb,
-        });
-        slots.push(ParamSlot {
-            name: "embeddings.position",
-            value: &mut hp.pos_emb,
-            grad: &heads_g.pos_emb,
-        });
-        slots.push(ParamSlot {
-            name: "embeddings.segment",
-            value: &mut hp.seg_emb,
-            grad: &heads_g.seg_emb,
-        });
-        slots.push(ParamSlot {
-            name: "embeddings.ln.gamma",
-            value: &mut hp.emb_ln_gamma,
-            grad: &heads_g.emb_ln_gamma,
-        });
-        slots.push(ParamSlot {
-            name: "embeddings.ln.beta",
-            value: &mut hp.emb_ln_beta,
-            grad: &heads_g.emb_ln_beta,
-        });
-        for ((p, g), names) in
-            self.layers.iter_mut().zip(&self.layer_grads).zip(&self.layer_param_names)
-        {
-            let g = g.as_ref().expect("train_step before param_slots");
-            let values = [
-                &mut p.attn.wq,
-                &mut p.attn.bq,
-                &mut p.attn.wk,
-                &mut p.attn.bk,
-                &mut p.attn.wv,
-                &mut p.attn.bv,
-                &mut p.attn.wo,
-                &mut p.attn.bo,
-                &mut p.ln1_gamma,
-                &mut p.ln1_beta,
-                &mut p.fc1_w,
-                &mut p.fc1_b,
-                &mut p.fc2_w,
-                &mut p.fc2_b,
-                &mut p.ln2_gamma,
-                &mut p.ln2_beta,
-            ];
-            let grads = [
-                &g.attn.wq,
-                &g.attn.bq,
-                &g.attn.wk,
-                &g.attn.bk,
-                &g.attn.wv,
-                &g.attn.bv,
-                &g.attn.wo,
-                &g.attn.bo,
-                &g.ln1_gamma,
-                &g.ln1_beta,
-                &g.fc1_w,
-                &g.fc1_b,
-                &g.fc2_w,
-                &g.fc2_b,
-                &g.ln2_gamma,
-                &g.ln2_beta,
-            ];
-            for ((name, value), grad) in names.iter().zip(values).zip(grads) {
-                slots.push(ParamSlot { name, value, grad });
-            }
-        }
-        slots.push(ParamSlot {
-            name: "mlm.dense.weight",
-            value: &mut hp.mlm_dense_w,
-            grad: &heads_g.mlm_dense_w,
-        });
-        slots.push(ParamSlot {
-            name: "mlm.dense.bias",
-            value: &mut hp.mlm_dense_b,
-            grad: &heads_g.mlm_dense_b,
-        });
-        slots.push(ParamSlot {
-            name: "mlm.ln.gamma",
-            value: &mut hp.mlm_ln_gamma,
-            grad: &heads_g.mlm_ln_gamma,
-        });
-        slots.push(ParamSlot {
-            name: "mlm.ln.beta",
-            value: &mut hp.mlm_ln_beta,
-            grad: &heads_g.mlm_ln_beta,
-        });
-        slots.push(ParamSlot {
-            name: "mlm.decoder.bias",
-            value: &mut hp.decoder_bias,
-            grad: &heads_g.decoder_bias,
-        });
-        slots.push(ParamSlot {
-            name: "nsp.pooler.weight",
-            value: &mut hp.pooler_w,
-            grad: &heads_g.pooler_w,
-        });
-        slots.push(ParamSlot {
-            name: "nsp.pooler.bias",
-            value: &mut hp.pooler_b,
-            grad: &heads_g.pooler_b,
-        });
-        slots.push(ParamSlot {
-            name: "nsp.classifier.weight",
-            value: &mut hp.cls_w,
-            grad: &heads_g.cls_w,
-        });
-        slots.push(ParamSlot {
-            name: "nsp.classifier.bias",
-            value: &mut hp.cls_b,
-            grad: &heads_g.cls_b,
-        });
-        slots
+        let grads = self.grads.as_ref().expect("train_step before param_slots");
+        self.names
+            .iter()
+            .zip(self.params.tensors_mut())
+            .zip(grads.tensors())
+            .map(|((name, value), grad)| ParamSlot { name, value, grad })
+            .collect()
     }
 
     /// Mutable views of every parameter in canonical inventory order,
     /// without requiring gradients (usable on a freshly built model, unlike
     /// [`Bert::param_slots`]). This is the checkpoint export/import surface.
     #[must_use]
-    pub fn param_values_mut(&mut self) -> Vec<(String, &mut Tensor)> {
-        let mut out: Vec<(String, &mut Tensor)> = Vec::new();
-        let hp = &mut self.heads;
-        out.push(("embeddings.word".into(), &mut hp.word_emb));
-        out.push(("embeddings.position".into(), &mut hp.pos_emb));
-        out.push(("embeddings.segment".into(), &mut hp.seg_emb));
-        out.push(("embeddings.ln.gamma".into(), &mut hp.emb_ln_gamma));
-        out.push(("embeddings.ln.beta".into(), &mut hp.emb_ln_beta));
-        for (p, names) in self.layers.iter_mut().zip(&self.layer_param_names) {
-            let values = [
-                &mut p.attn.wq,
-                &mut p.attn.bq,
-                &mut p.attn.wk,
-                &mut p.attn.bk,
-                &mut p.attn.wv,
-                &mut p.attn.bv,
-                &mut p.attn.wo,
-                &mut p.attn.bo,
-                &mut p.ln1_gamma,
-                &mut p.ln1_beta,
-                &mut p.fc1_w,
-                &mut p.fc1_b,
-                &mut p.fc2_w,
-                &mut p.fc2_b,
-                &mut p.ln2_gamma,
-                &mut p.ln2_beta,
-            ];
-            for (name, value) in names.iter().zip(values) {
-                out.push((name.clone(), value));
-            }
-        }
-        out.push(("mlm.dense.weight".into(), &mut hp.mlm_dense_w));
-        out.push(("mlm.dense.bias".into(), &mut hp.mlm_dense_b));
-        out.push(("mlm.ln.gamma".into(), &mut hp.mlm_ln_gamma));
-        out.push(("mlm.ln.beta".into(), &mut hp.mlm_ln_beta));
-        out.push(("mlm.decoder.bias".into(), &mut hp.decoder_bias));
-        out.push(("nsp.pooler.weight".into(), &mut hp.pooler_w));
-        out.push(("nsp.pooler.bias".into(), &mut hp.pooler_b));
-        out.push(("nsp.classifier.weight".into(), &mut hp.cls_w));
-        out.push(("nsp.classifier.bias".into(), &mut hp.cls_b));
-        out
+    pub fn param_values_mut(&mut self) -> Vec<(&str, &mut Tensor)> {
+        self.names.iter().map(String::as_str).zip(self.params.tensors_mut()).collect()
     }
 
     /// Overwrite one element of the named parameter's gradient with
     /// `value` — the fault-injection hook. Returns `false` when the name is
     /// unknown or no gradients exist yet.
     pub fn corrupt_gradient(&mut self, name: &str, value: f32) -> bool {
-        let Some(hg) = self.head_grads.as_mut() else { return false };
-        let head_grad: Option<&mut Tensor> = match name {
-            "embeddings.word" => Some(&mut hg.word_emb),
-            "embeddings.position" => Some(&mut hg.pos_emb),
-            "embeddings.segment" => Some(&mut hg.seg_emb),
-            "embeddings.ln.gamma" => Some(&mut hg.emb_ln_gamma),
-            "embeddings.ln.beta" => Some(&mut hg.emb_ln_beta),
-            "mlm.dense.weight" => Some(&mut hg.mlm_dense_w),
-            "mlm.dense.bias" => Some(&mut hg.mlm_dense_b),
-            "mlm.ln.gamma" => Some(&mut hg.mlm_ln_gamma),
-            "mlm.ln.beta" => Some(&mut hg.mlm_ln_beta),
-            "mlm.decoder.bias" => Some(&mut hg.decoder_bias),
-            "nsp.pooler.weight" => Some(&mut hg.pooler_w),
-            "nsp.pooler.bias" => Some(&mut hg.pooler_b),
-            "nsp.classifier.weight" => Some(&mut hg.cls_w),
-            "nsp.classifier.bias" => Some(&mut hg.cls_b),
-            _ => None,
-        };
-        if let Some(t) = head_grad {
-            t.as_mut_slice()[0] = value;
-            return true;
-        }
-        // Layer parameters: "l{i}.{field}".
-        let Some(rest) = name.strip_prefix('l') else { return false };
-        let Some((idx, field)) = rest.split_once('.') else { return false };
-        let Ok(idx) = idx.parse::<usize>() else { return false };
-        let Some(Some(g)) = self.layer_grads.get_mut(idx) else { return false };
-        let t: &mut Tensor = match field {
-            "attn.wq" => &mut g.attn.wq,
-            "attn.bq" => &mut g.attn.bq,
-            "attn.wk" => &mut g.attn.wk,
-            "attn.bk" => &mut g.attn.bk,
-            "attn.wv" => &mut g.attn.wv,
-            "attn.bv" => &mut g.attn.bv,
-            "attn.wo" => &mut g.attn.wo,
-            "attn.bo" => &mut g.attn.bo,
-            "ln1.gamma" => &mut g.ln1_gamma,
-            "ln1.beta" => &mut g.ln1_beta,
-            "fc1.weight" => &mut g.fc1_w,
-            "fc1.bias" => &mut g.fc1_b,
-            "fc2.weight" => &mut g.fc2_w,
-            "fc2.bias" => &mut g.fc2_b,
-            "ln2.gamma" => &mut g.ln2_gamma,
-            "ln2.beta" => &mut g.ln2_beta,
-            _ => return false,
-        };
-        t.as_mut_slice()[0] = value;
+        let Some(grads) = self.grads.as_mut() else { return false };
+        let Some(slot) = self.names.iter().position(|n| n == name) else { return false };
+        let grad = grads.tensors_mut().nth(slot).expect("one gradient per name");
+        grad.as_mut_slice()[0] = value;
         true
     }
 
@@ -760,6 +460,99 @@ mod tests {
             assert_eq!(slot.name, tensor.name, "inventory order must match");
             assert_eq!(slot.value.numel() as u64, tensor.numel(), "{}", tensor.name);
             assert_eq!(slot.value.dims(), &tensor.dims[..], "{}", tensor.name);
+        }
+    }
+
+    /// `BertConfig::tiny()` (two layers) and a three-layer variant, each
+    /// with one step taken.
+    fn stepped_models() -> Vec<Bert> {
+        let tiny = BertConfig::tiny();
+        [tiny, BertConfig { layers: 3, ..tiny }]
+            .into_iter()
+            .map(|cfg| {
+                let batch = SyntheticCorpus::new(cfg.vocab)
+                    .generate_batch(&mut StdRng::seed_from_u64(11), &cfg);
+                let mut bert = Bert::new(cfg, TrainOptions::default(), 5);
+                bert.train_step(&mut Tracer::disabled(), &batch).unwrap();
+                bert
+            })
+            .collect()
+    }
+
+    fn grad_bits(bert: &mut Bert) -> Vec<Vec<u32>> {
+        bert.param_slots()
+            .iter()
+            .map(|s| s.grad.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn param_values_follow_the_slot_order() {
+        for mut bert in stepped_models() {
+            let slots: Vec<String> = bert.param_slots().iter().map(|s| s.name.to_owned()).collect();
+            let values: Vec<String> =
+                bert.param_values_mut().iter().map(|(n, _)| (*n).to_owned()).collect();
+            assert_eq!(values, slots);
+        }
+    }
+
+    #[test]
+    fn corrupt_gradient_changes_exactly_the_named_slot() {
+        const POISON: f32 = -1234.5;
+        for mut bert in stepped_models() {
+            let names: Vec<String> = bert.param_slots().iter().map(|s| s.name.to_owned()).collect();
+            for (i, name) in names.iter().enumerate() {
+                let mut want = grad_bits(&mut bert);
+                assert!(bert.corrupt_gradient(name, POISON), "{name} rejected");
+                want[i][0] = POISON.to_bits();
+                assert_eq!(grad_bits(&mut bert), want, "corrupting {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_gradient_rejects_names_outside_the_inventory() {
+        for mut bert in stepped_models() {
+            let before = grad_bits(&mut bert);
+            let past_last = format!("l{}.attn.wq", bert.config().layers);
+            for name in [past_last.as_str(), "l0.attn.nope", "embeddings"] {
+                assert!(!bert.corrupt_gradient(name, 1.0), "{name} accepted");
+            }
+            assert_eq!(grad_bits(&mut bert), before);
+            let mut fresh = Bert::new(*bert.config(), TrainOptions::default(), 5);
+            let names: Vec<String> = bert.param_slots().iter().map(|s| s.name.to_owned()).collect();
+            for name in &names {
+                assert!(!fresh.corrupt_gradient(name, 1.0), "{name} accepted before a step");
+            }
+        }
+    }
+
+    #[test]
+    fn observer_groups_tile_the_slots_exactly_once() {
+        #[derive(Default)]
+        struct Groups(Vec<(usize, Vec<Vec<usize>>)>);
+        impl crate::defer::GradObserver for Groups {
+            fn group_ready(&mut self, base_slot: usize, grads: &[&Tensor]) {
+                self.0.push((base_slot, grads.iter().map(|g| g.dims().to_vec()).collect()));
+            }
+        }
+        for mut bert in stepped_models() {
+            let cfg = *bert.config();
+            let batch = SyntheticCorpus::new(cfg.vocab)
+                .generate_batch(&mut StdRng::seed_from_u64(12), &cfg);
+            let mut groups = Groups::default();
+            bert.train_step_observed(&mut Tracer::disabled(), &batch, Some(&mut groups)).unwrap();
+            groups.0.sort_by_key(|g| g.0);
+            let slots = bert.param_slots();
+            let mut next = 0;
+            for (base, dims) in &groups.0 {
+                assert_eq!(*base, next, "groups must tile the slots without gaps or overlaps");
+                for (i, d) in dims.iter().enumerate() {
+                    assert_eq!(slots[base + i].value.dims(), &d[..], "{}", slots[base + i].name);
+                }
+                next += dims.len();
+            }
+            assert_eq!(next, slots.len());
         }
     }
 

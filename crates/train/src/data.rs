@@ -14,7 +14,7 @@ use bertscope_tensor::init::Zipf;
 use rand::distributions::Distribution;
 use rand::Rng;
 
-/// Reserved token ids, mirroring BERT's WordPiece specials.
+/// Reserved token ids, mirroring BERT's `WordPiece` specials.
 pub mod special {
     /// Padding token.
     pub const PAD: usize = 0;
@@ -40,7 +40,7 @@ pub struct PretrainBatch {
     /// Masked-LM targets: original token id at masked positions,
     /// [`IGNORE_INDEX`] elsewhere. `[B * n]`.
     pub mlm_targets: Vec<usize>,
-    /// Next-sentence labels, `[B]` (1 = IsNext).
+    /// Next-sentence labels, `[B]` (1 = `IsNext`).
     pub nsp_labels: Vec<usize>,
     /// Real (unpadded) length of each sequence, `[B]`.
     pub lengths: Vec<usize>,
@@ -289,7 +289,7 @@ mod tests {
                 }
             }
         }
-        assert!(agree as f64 / big.batch as f64 > 0.85, "topic/label agreement {agree}/64");
+        assert!(f64::from(agree) / big.batch as f64 > 0.85, "topic/label agreement {agree}/64");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Gradient-readiness plumbing for backward/AllReduce overlap.
 //!
-//! A data-parallel step only becomes cheaper when the AllReduce of a
+//! A data-parallel step only becomes cheaper when the `AllReduce` of a
 //! gradient *bucket* starts while backward is still producing the next
 //! one. The seams here make that possible without entangling the model
 //! with the communication runtime:
@@ -13,11 +13,11 @@
 //!   the flat wire layout and fires each bucket at the moment its last
 //!   overlapping slot retires, in a deterministic order every rank
 //!   reproduces (the precondition for ring collectives: all ranks must
-//!   enter bucket AllReduces in the same sequence).
+//!   enter bucket `AllReduce`s in the same sequence).
 //!
 //! Buckets are the same boundary-aligned ranges
 //! [`bertscope_tensor::bucket::plan_buckets`] gives the ring transport, so
-//! a per-bucket AllReduce performs the bit-identical reduction the
+//! a per-bucket `AllReduce` performs the bit-identical reduction the
 //! aggregate call would.
 
 use bertscope_tensor::bucket::plan_buckets;
@@ -26,9 +26,11 @@ use std::ops::Range;
 
 /// Observer of gradient-group retirement during a backward pass.
 ///
-/// `base_slot` is the canonical [`crate::Bert::param_slots`] index of
-/// `grads[0]`; the group occupies `base_slot..base_slot + grads.len()`
-/// contiguous slots. Groups retire in backward order — output heads first,
+/// Each group is one group of the crate's parameter inventory (the
+/// embeddings, one layer, or the output heads), and the inventory is the
+/// one source of slot order: `base_slot` is the [`crate::Bert::param_slots`]
+/// index of `grads[0]`, and the group occupies
+/// `base_slot..base_slot + grads.len()` contiguous slots. Groups retire in backward order — output heads first,
 /// then layers from last to first, the embeddings last — and every tensor
 /// is final when reported (the tied decoder gradient is already folded
 /// into the word embedding's).
@@ -44,7 +46,7 @@ pub trait GradObserver: Send {
 
 /// Consumer of completed gradient buckets — the scheduler-facing half of
 /// the overlap: typically a channel into a communication thread that
-/// AllReduces each bucket while backward keeps computing. `Send` for the
+/// `AllReduce`s each bucket while backward keeps computing. `Send` for the
 /// same reason as [`GradObserver`]: buckets may fire from graph tasks.
 pub trait BucketSink: Send {
     /// `bucket` is the index into the [`plan_buckets`] plan, `range` its

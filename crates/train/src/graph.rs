@@ -31,10 +31,11 @@
 //! layer's forward or backward, a checkpoint segment's recompute, or an
 //! output head.
 
-use crate::bert::{top1_accuracy, Bert, EmbeddingActs, EvalOutput, HeadGrads, StepOutput};
+use crate::bert::{top1_accuracy, Bert, EmbeddingActs, EvalOutput, StepOutput};
 use crate::data::PretrainBatch;
 use crate::defer::GradObserver;
-use crate::layer::{layer_bwd, layer_fwd, LayerActivations, LayerGrads};
+use crate::layer::{layer_bwd, layer_fwd, LayerActivations, LayerParams};
+use crate::params::{EmbeddingParams, HeadParams, Params};
 use bertscope_kernels::activation::{gelu_bwd, gelu_fwd, tanh_bwd, tanh_fwd};
 use bertscope_kernels::dropout::dropout_bwd;
 use bertscope_kernels::embedding::embedding_bwd;
@@ -133,36 +134,23 @@ struct NspFwd {
 /// [CLS]-row gradient and reports the combined heads group).
 struct NspBwd {
     d_cls_rows: Tensor,
-    d_pooler_w: Tensor,
-    d_pooler_b: Tensor,
-    d_cls_w: Tensor,
-    d_cls_b: Tensor,
+    pooler_w: Tensor,
+    pooler_b: Tensor,
+    cls_w: Tensor,
+    cls_b: Tensor,
 }
 
-/// The nine head gradients finalized by the MLM backward task.
-struct HeadsPartial {
-    d_mlm_dense_w: Tensor,
-    d_mlm_dense_b: Tensor,
-    d_mlm_ln_gamma: Tensor,
-    d_mlm_ln_beta: Tensor,
-    d_decoder_bias: Tensor,
-    d_pooler_w: Tensor,
-    d_pooler_b: Tensor,
-    d_cls_w: Tensor,
-    d_cls_b: Tensor,
+/// A loss gradient multiplied by the loss scale; an unscaled loss (scale
+/// exactly 1) skips the multiply.
+fn loss_scaled(d_logits: Tensor, scale: f32) -> Tensor {
+    if scale.to_bits() == 1f32.to_bits() {
+        d_logits
+    } else {
+        d_logits.scale(scale)
+    }
 }
 
-/// Embedding-backward outputs (the word gradient already carries the tied
-/// decoder fold).
-struct EmbBwdOut {
-    d_word: Tensor,
-    d_pos: Tensor,
-    d_seg: Tensor,
-    d_emb_ln_gamma: Tensor,
-    d_emb_ln_beta: Tensor,
-}
-
-/// MLM head forward on the sequence output: dense, GeLU, LayerNorm, the
+/// MLM head forward on the sequence output: dense, `GeLU`, `LayerNorm`, the
 /// tied decoder GEMM and the loss. Returns the loss, the logits and what
 /// the MLM backward task consumes.
 fn mlm_head_fwd(
@@ -174,32 +162,27 @@ fn mlm_head_fwd(
     let t = this.cfg.tokens();
     let d = this.cfg.d_model;
     let out_ctx = this.kctx("mlm", Category::Output, Phase::Forward);
+    let heads = &this.params.heads;
     let mlm_h = linear_fwd(
         tr,
         &this.kctx("mlm.dense", Category::Output, Phase::Forward),
         seq_out,
-        &this.heads.mlm_dense_w,
-        Some(&this.heads.mlm_dense_b),
+        &heads.mlm_dense_w,
+        Some(&heads.mlm_dense_b),
     )?;
     let mlm_g = gelu_fwd(tr, &out_ctx, &mlm_h)?;
-    let (mlm_n, ln_state) = layernorm_fwd(
-        tr,
-        &out_ctx,
-        &mlm_g,
-        &this.heads.mlm_ln_gamma,
-        &this.heads.mlm_ln_beta,
-        1e-5,
-    )?;
+    let (mlm_n, ln_state) =
+        layernorm_fwd(tr, &out_ctx, &mlm_g, &heads.mlm_ln_gamma, &heads.mlm_ln_beta, 1e-5)?;
     // Tied decoder: logits = x * W_word^T + b.
     let logits = gemm_ep(
         Transpose::No,
         Transpose::Yes,
         1.0,
         &mlm_n,
-        &this.heads.word_emb,
+        &this.params.emb.word,
         0.0,
         None,
-        GemmEpilogue::Bias(this.heads.decoder_bias.as_slice()),
+        GemmEpilogue::Bias(heads.decoder_bias.as_slice()),
     )?;
     this.kctx("mlm.decoder", Category::Output, Phase::Forward).trace_gemm_acc(
         tr,
@@ -207,7 +190,7 @@ fn mlm_head_fwd(
         GemmSpec::new(Transpose::No, Transpose::Yes, this.cfg.vocab, t, d)
             .with_epilogue(Epilogue::Bias),
         AccessSet::new(
-            &[mlm_n.buf_id(), this.heads.word_emb.buf_id(), this.heads.decoder_bias.buf_id()],
+            &[mlm_n.buf_id(), this.params.emb.word.buf_id(), heads.decoder_bias.buf_id()],
             &[logits.buf_id()],
         ),
     );
@@ -231,16 +214,16 @@ fn nsp_head_fwd(
         tr,
         &this.kctx("nsp.pooler", Category::Output, Phase::Forward),
         &cls_rows,
-        &this.heads.pooler_w,
-        Some(&this.heads.pooler_b),
+        &this.params.heads.pooler_w,
+        Some(&this.params.heads.pooler_b),
     )?;
     let pooled = tanh_fwd(tr, &nsp_ctx, &pooled_pre)?;
     let logits = linear_fwd(
         tr,
         &this.kctx("nsp.classifier", Category::Output, Phase::Forward),
         &pooled,
-        &this.heads.cls_w,
-        Some(&this.heads.cls_b),
+        &this.params.heads.cls_w,
+        Some(&this.params.heads.cls_b),
     )?;
     let xent_ctx = KernelCtx::new("nsp", Category::Output, Phase::Forward).dtype(DType::F32);
     let (loss, xent) = cross_entropy_fwd(tr, &xent_ctx, &logits, &batch.nsp_labels)?;
@@ -258,9 +241,9 @@ struct TrainStorage {
     nsp_bwd: Slot<NspBwd>,
     dy: Vec<Slot<Tensor>>,
     dwd: Slot<Tensor>,
-    grads: Vec<Slot<LayerGrads>>,
-    heads: Slot<HeadsPartial>,
-    emb_out: Slot<EmbBwdOut>,
+    grads: Vec<Slot<LayerParams>>,
+    heads: Slot<HeadParams>,
+    emb_out: Slot<EmbeddingParams>,
     loss_mlm: Slot<f32>,
     loss_nsp: Slot<f32>,
     err: ErrCell,
@@ -350,7 +333,7 @@ pub(crate) fn run_train_graph(
     mask: &Tensor,
     seed0: u64,
     observer: Option<&mut dyn GradObserver>,
-) -> Result<(StepOutput, Vec<Option<LayerGrads>>, HeadGrads)> {
+) -> Result<(StepOutput, Params)> {
     let layers = this.cfg.layers;
     let checkpoint = this.opts.checkpoint;
     let n_segs = checkpoint_segments(layers);
@@ -392,7 +375,8 @@ pub(crate) fn run_train_graph(
                     st.segs[l / per_seg].put(x.clone());
                 }
                 let lc = this.layer_ctx(l, false);
-                let (y, a) = layer_fwd(tr, &lc, &this.layers[l], &x, Some(mask), seed0 + l as u64)?;
+                let (y, a) =
+                    layer_fwd(tr, &lc, &this.params.layers[l], &x, Some(mask), seed0 + l as u64)?;
                 if !checkpoint {
                     st.acts[l].put(a);
                 }
@@ -434,34 +418,31 @@ pub(crate) fn run_train_graph(
             let Some(NspFwd { cls_rows, pooled, xent }) = st.nsp_fwd.take() else {
                 return Ok(());
             };
-            let scale = this.opts.loss_scale;
             let nsp_bwd_ctx =
                 KernelCtx::new("nsp", Category::Output, Phase::Backward).dtype(DType::F32);
-            let mut d_nsp_logits = cross_entropy_bwd(tr, &nsp_bwd_ctx, &xent)?;
-            if scale != 1.0 {
-                d_nsp_logits = d_nsp_logits.scale(scale);
-            }
-            let (d_pooled, d_cls_w, d_cls_b) = linear_bwd(
+            let d_nsp_logits =
+                loss_scaled(cross_entropy_bwd(tr, &nsp_bwd_ctx, &xent)?, this.opts.loss_scale);
+            let (d_pooled, cls_w, cls_b) = linear_bwd(
                 tr,
                 &this.kctx("nsp.classifier", Category::Output, Phase::Backward),
                 &pooled,
-                &this.heads.cls_w,
+                &this.params.heads.cls_w,
                 &d_nsp_logits,
                 true,
             )?;
-            let d_cls_b = d_cls_b.expect("bias requested");
+            let cls_b = cls_b.expect("bias requested");
             let nsp_bwd = this.kctx("nsp", Category::Output, Phase::Backward);
             let d_pooled_pre = tanh_bwd(tr, &nsp_bwd, &pooled, &d_pooled)?;
-            let (d_cls_rows, d_pooler_w, d_pooler_b) = linear_bwd(
+            let (d_cls_rows, pooler_w, pooler_b) = linear_bwd(
                 tr,
                 &this.kctx("nsp.pooler", Category::Output, Phase::Backward),
                 &cls_rows,
-                &this.heads.pooler_w,
+                &this.params.heads.pooler_w,
                 &d_pooled_pre,
                 true,
             )?;
-            let d_pooler_b = d_pooler_b.expect("bias requested");
-            st.nsp_bwd.put(NspBwd { d_cls_rows, d_pooler_w, d_pooler_b, d_cls_w, d_cls_b });
+            let pooler_b = pooler_b.expect("bias requested");
+            st.nsp_bwd.put(NspBwd { d_cls_rows, pooler_w, pooler_b, cls_w, cls_b });
             Ok(())
         }),
     );
@@ -476,23 +457,23 @@ pub(crate) fn run_train_graph(
                 return Ok(());
             };
             let Some(seq_out) = st.x[layers].get() else { return Ok(()) };
-            let Some(nsp) = st.nsp_bwd.take() else { return Ok(()) };
+            let Some(NspBwd { d_cls_rows, pooler_w, pooler_b, cls_w, cls_b }) = st.nsp_bwd.take()
+            else {
+                return Ok(());
+            };
             let t = this.cfg.tokens();
             let d = this.cfg.d_model;
             let dt = this.act_dtype();
-            let scale = this.opts.loss_scale;
             let mlm_bwd_ctx =
                 KernelCtx::new("mlm", Category::Output, Phase::Backward).dtype(DType::F32);
-            let mut d_logits = cross_entropy_bwd(tr, &mlm_bwd_ctx, &xent)?;
-            if scale != 1.0 {
-                d_logits = d_logits.scale(scale);
-            }
+            let d_logits =
+                loss_scaled(cross_entropy_bwd(tr, &mlm_bwd_ctx, &xent)?, this.opts.loss_scale);
             let d_mlm_n = gemm(
                 Transpose::No,
                 Transpose::No,
                 1.0,
                 &d_logits,
-                &this.heads.word_emb,
+                &this.params.emb.word,
                 0.0,
                 None,
             )?;
@@ -502,7 +483,7 @@ pub(crate) fn run_train_graph(
                 "grad_act",
                 GemmSpec::new(Transpose::No, Transpose::No, d, t, this.cfg.vocab),
                 AccessSet::new(
-                    &[d_logits.buf_id(), this.heads.word_emb.buf_id()],
+                    &[d_logits.buf_id(), this.params.emb.word.buf_id()],
                     &[d_mlm_n.buf_id()],
                 ),
             );
@@ -517,7 +498,7 @@ pub(crate) fn run_train_graph(
                     &[d_word_from_decoder.buf_id()],
                 ),
             );
-            let d_decoder_bias = {
+            let decoder_bias = {
                 let mut acc = Buffer::zeroed(this.cfg.vocab);
                 for row in d_logits.as_slice().chunks(this.cfg.vocab) {
                     for (a, &v) in acc.iter_mut().zip(row) {
@@ -537,50 +518,38 @@ pub(crate) fn run_train_graph(
                 Tensor::from_buffer(acc, &[this.cfg.vocab])?
             };
             let out_bwd = this.kctx("mlm", Category::Output, Phase::Backward);
-            let (d_mlm_g, d_mlm_ln_gamma, d_mlm_ln_beta) =
-                layernorm_bwd(tr, &out_bwd, &mlm_g, &this.heads.mlm_ln_gamma, &ln_state, &d_mlm_n)?;
+            let heads = &this.params.heads;
+            let (d_mlm_g, mlm_ln_gamma, mlm_ln_beta) =
+                layernorm_bwd(tr, &out_bwd, &mlm_g, &heads.mlm_ln_gamma, &ln_state, &d_mlm_n)?;
             let d_mlm_h = gelu_bwd(tr, &out_bwd, &mlm_h, &d_mlm_g)?;
-            let (mut d_seq, d_mlm_dense_w, d_mlm_dense_b) = linear_bwd(
+            let (mut d_seq, mlm_dense_w, mlm_dense_b) = linear_bwd(
                 tr,
                 &this.kctx("mlm.dense", Category::Output, Phase::Backward),
                 &seq_out,
-                &this.heads.mlm_dense_w,
+                &heads.mlm_dense_w,
                 &d_mlm_h,
                 true,
             )?;
-            let d_mlm_dense_b = d_mlm_dense_b.expect("bias requested");
-            this.scatter_cls(tr, &mut d_seq, &nsp.d_cls_rows);
-            let partial = HeadsPartial {
-                d_mlm_dense_w,
-                d_mlm_dense_b,
-                d_mlm_ln_gamma,
-                d_mlm_ln_beta,
-                d_decoder_bias,
-                d_pooler_w: nsp.d_pooler_w,
-                d_pooler_b: nsp.d_pooler_b,
-                d_cls_w: nsp.d_cls_w,
-                d_cls_b: nsp.d_cls_b,
+            let mlm_dense_b = mlm_dense_b.expect("bias requested");
+            this.scatter_cls(tr, &mut d_seq, &d_cls_rows);
+            let grads = HeadParams {
+                mlm_dense_w,
+                mlm_dense_b,
+                mlm_ln_gamma,
+                mlm_ln_beta,
+                decoder_bias,
+                pooler_w,
+                pooler_b,
+                cls_w,
+                cls_b,
             };
             // The heads group retires here, first.
             if let Some(o) = obs.lock().expect("observer cell poisoned").as_deref_mut() {
-                o.group_ready(
-                    5 + this.cfg.layers * 16,
-                    &[
-                        &partial.d_mlm_dense_w,
-                        &partial.d_mlm_dense_b,
-                        &partial.d_mlm_ln_gamma,
-                        &partial.d_mlm_ln_beta,
-                        &partial.d_decoder_bias,
-                        &partial.d_pooler_w,
-                        &partial.d_pooler_b,
-                        &partial.d_cls_w,
-                        &partial.d_cls_b,
-                    ],
-                );
+                o.group_ready(Params::layer_base(layers), &grads.tensors());
             }
             st.dy[layers].put(d_seq);
             st.dwd.put(d_word_from_decoder);
-            st.heads.put(partial);
+            st.heads.put(grads);
             Ok(())
         }),
     );
@@ -598,9 +567,9 @@ pub(crate) fn run_train_graph(
                     let Some(a) = st.acts[l].take() else { return Ok(()) };
                     let Some(dy) = st.dy[l + 1].take() else { return Ok(()) };
                     let lc = this.layer_ctx(l, false);
-                    let (dx, g) = layer_bwd(tr, &lc, &this.layers[l], &a, &dy)?;
+                    let (dx, g) = layer_bwd(tr, &lc, &this.params.layers[l], &a, &dy)?;
                     if let Some(o) = obs.lock().expect("observer cell poisoned").as_deref_mut() {
-                        Bert::observe_layer(o, l, &g);
+                        o.group_ready(Params::layer_base(l), &g.tensors());
                     }
                     st.grads[l].put(g);
                     st.dy[l].put(dx);
@@ -630,7 +599,7 @@ pub(crate) fn run_train_graph(
                         let (y, a) = layer_fwd(
                             &mut tmp,
                             &lc,
-                            &this.layers[l],
+                            &this.params.layers[l],
                             &xin,
                             Some(mask),
                             seed0 + l as u64,
@@ -666,29 +635,30 @@ pub(crate) fn run_train_graph(
             let d = this.cfg.d_model;
             let emb_bwd = this.kctx("emb", Category::Embedding, Phase::Backward);
             let d_normed = dropout_bwd(tr, &emb_bwd, &ea.drop, &dy)?;
-            let (d_sum2, d_emb_ln_gamma, d_emb_ln_beta) = layernorm_bwd(
+            let (d_sum2, ln_gamma, ln_beta) = layernorm_bwd(
                 tr,
                 &emb_bwd,
                 &ea.sum2,
-                &this.heads.emb_ln_gamma,
+                &this.params.emb.ln_gamma,
                 &ea.ln_state,
                 &d_normed,
             )?;
-            let mut d_word =
+            let mut word =
                 embedding_bwd(tr, &emb_bwd, &[this.cfg.vocab, d], &batch.input_ids, &d_sum2)?;
-            let d_pos = embedding_bwd(
+            let position = embedding_bwd(
                 tr,
                 &emb_bwd,
                 &[this.cfg.max_position, d],
                 &batch.position_ids,
                 &d_sum2,
             )?;
-            let d_seg = embedding_bwd(tr, &emb_bwd, &[2, d], &batch.segment_ids, &d_sum2)?;
-            d_word.axpy(1.0, &dwd)?;
+            let segment = embedding_bwd(tr, &emb_bwd, &[2, d], &batch.segment_ids, &d_sum2)?;
+            word.axpy(1.0, &dwd)?;
+            let grads = EmbeddingParams { word, position, segment, ln_gamma, ln_beta };
             if let Some(o) = obs.lock().expect("observer cell poisoned").as_deref_mut() {
-                o.group_ready(0, &[&d_word, &d_pos, &d_seg, &d_emb_ln_gamma, &d_emb_ln_beta]);
+                o.group_ready(0, &grads.tensors());
             }
-            st.emb_out.put(EmbBwdOut { d_word, d_pos, d_seg, d_emb_ln_gamma, d_emb_ln_beta });
+            st.emb_out.put(grads);
             Ok(())
         }),
     );
@@ -700,27 +670,12 @@ pub(crate) fn run_train_graph(
     }
     let mlm_loss = st.loss_mlm.take().expect("mlm head retired");
     let nsp_loss = st.loss_nsp.take().expect("nsp head retired");
-    let partial = st.heads.take().expect("heads backward retired");
-    let emb = st.emb_out.take().expect("embedding backward retired");
-    let layer_grads: Vec<Option<LayerGrads>> =
-        st.grads.iter().map(|s| Some(s.take().expect("layer backward retired"))).collect();
-    let head_grads = HeadGrads {
-        word_emb: emb.d_word,
-        pos_emb: emb.d_pos,
-        seg_emb: emb.d_seg,
-        emb_ln_gamma: emb.d_emb_ln_gamma,
-        emb_ln_beta: emb.d_emb_ln_beta,
-        mlm_dense_w: partial.d_mlm_dense_w,
-        mlm_dense_b: partial.d_mlm_dense_b,
-        mlm_ln_gamma: partial.d_mlm_ln_gamma,
-        mlm_ln_beta: partial.d_mlm_ln_beta,
-        decoder_bias: partial.d_decoder_bias,
-        pooler_w: partial.d_pooler_w,
-        pooler_b: partial.d_pooler_b,
-        cls_w: partial.d_cls_w,
-        cls_b: partial.d_cls_b,
+    let grads = Params {
+        emb: st.emb_out.take().expect("embedding backward retired"),
+        layers: st.grads.iter().map(|s| s.take().expect("layer backward retired")).collect(),
+        heads: st.heads.take().expect("heads backward retired"),
     };
-    Ok((StepOutput { loss: mlm_loss + nsp_loss, mlm_loss, nsp_loss }, layer_grads, head_grads))
+    Ok((StepOutput { loss: mlm_loss + nsp_loss, mlm_loss, nsp_loss }, grads))
 }
 
 /// Rendezvous cells and dataflow tokens for one recorded inference pass.
@@ -775,7 +730,7 @@ fn build_eval_graph<'s>(
             guarded(err, move |tr| {
                 let Some(x) = st.x[l].get() else { return Ok(()) };
                 let lc = this.layer_ctx(l, true);
-                let (y, _) = layer_fwd(tr, &lc, &this.layers[l], &x, Some(mask), 0)?;
+                let (y, _) = layer_fwd(tr, &lc, &this.params.layers[l], &x, Some(mask), 0)?;
                 st.x[l + 1].put(y);
                 Ok(())
             }),

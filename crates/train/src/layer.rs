@@ -1,9 +1,10 @@
 //! One Transformer encoder layer: attention + feed-forward with residuals
-//! and LayerNorms (paper Fig. 2(b)), executable forward and backward.
+//! and `LayerNorm`s (paper Fig. 2(b)), executable forward and backward.
 
+use crate::params::param_group;
 use bertscope_kernels::activation::{gelu_bwd, gelu_fwd};
 use bertscope_kernels::attention::{
-    attention_bwd, attention_fwd, AttentionConfig, AttentionGrads, AttentionParams, AttentionState,
+    attention_bwd, attention_fwd, AttentionConfig, AttentionParams, AttentionState,
 };
 use bertscope_kernels::dropout::{dropout_bwd, dropout_fwd, DropoutMask};
 use bertscope_kernels::elementwise::residual_add;
@@ -19,7 +20,7 @@ use rand::Rng;
 /// Execution-time configuration for one layer invocation.
 #[derive(Debug, Clone, Copy)]
 pub struct LayerCtx {
-    /// Attention sub-configuration (batch/seq/heads/d_model/fusion/layer).
+    /// Attention sub-configuration (batch, seq, heads, `d_model`, fusion, layer).
     pub attn: AttentionConfig,
     /// Feed-forward intermediate width `d_ff`.
     pub d_ff: usize,
@@ -61,14 +62,15 @@ impl LayerCtx {
     }
 }
 
-/// Learnable parameters of one layer.
+/// Learnable parameters of one layer (or their gradients), in the slot
+/// order its `param_group!` declaration fixes.
 #[derive(Debug, Clone)]
 pub struct LayerParams {
     /// Attention projections.
     pub attn: AttentionParams,
-    /// Post-attention LayerNorm scale.
+    /// Post-attention `LayerNorm` scale.
     pub ln1_gamma: Tensor,
-    /// Post-attention LayerNorm shift.
+    /// Post-attention `LayerNorm` shift.
     pub ln1_beta: Tensor,
     /// FC-1 weight `[d_model, d_ff]`.
     pub fc1_w: Tensor,
@@ -78,9 +80,9 @@ pub struct LayerParams {
     pub fc2_w: Tensor,
     /// FC-2 bias.
     pub fc2_b: Tensor,
-    /// Post-FFN LayerNorm scale.
+    /// Post-FFN `LayerNorm` scale.
     pub ln2_gamma: Tensor,
-    /// Post-FFN LayerNorm shift.
+    /// Post-FFN `LayerNorm` shift.
     pub ln2_beta: Tensor,
 }
 
@@ -110,55 +112,26 @@ impl LayerParams {
             ln2_beta: Tensor::zeros(&[d]),
         }
     }
-
-    /// Cast every tensor to `dtype` (for mixed-precision training).
-    #[must_use]
-    pub fn to_dtype(&self, dtype: DType) -> Self {
-        LayerParams {
-            attn: AttentionParams {
-                wq: self.attn.wq.to_dtype(dtype),
-                bq: self.attn.bq.to_dtype(dtype),
-                wk: self.attn.wk.to_dtype(dtype),
-                bk: self.attn.bk.to_dtype(dtype),
-                wv: self.attn.wv.to_dtype(dtype),
-                bv: self.attn.bv.to_dtype(dtype),
-                wo: self.attn.wo.to_dtype(dtype),
-                bo: self.attn.bo.to_dtype(dtype),
-            },
-            ln1_gamma: self.ln1_gamma.to_dtype(dtype),
-            ln1_beta: self.ln1_beta.to_dtype(dtype),
-            fc1_w: self.fc1_w.to_dtype(dtype),
-            fc1_b: self.fc1_b.to_dtype(dtype),
-            fc2_w: self.fc2_w.to_dtype(dtype),
-            fc2_b: self.fc2_b.to_dtype(dtype),
-            ln2_gamma: self.ln2_gamma.to_dtype(dtype),
-            ln2_beta: self.ln2_beta.to_dtype(dtype),
-        }
-    }
 }
 
-/// Gradients of one layer (field-for-field with [`LayerParams`]).
-#[derive(Debug, Clone)]
-pub struct LayerGrads {
-    /// Attention gradients.
-    pub attn: AttentionGrads,
-    /// d(loss)/d(ln1_gamma).
-    pub ln1_gamma: Tensor,
-    /// d(loss)/d(ln1_beta).
-    pub ln1_beta: Tensor,
-    /// d(loss)/d(fc1_w).
-    pub fc1_w: Tensor,
-    /// d(loss)/d(fc1_b).
-    pub fc1_b: Tensor,
-    /// d(loss)/d(fc2_w).
-    pub fc2_w: Tensor,
-    /// d(loss)/d(fc2_b).
-    pub fc2_b: Tensor,
-    /// d(loss)/d(ln2_gamma).
-    pub ln2_gamma: Tensor,
-    /// d(loss)/d(ln2_beta).
-    pub ln2_beta: Tensor,
-}
+param_group!(LayerParams {
+    attn.wq => "attn.wq",
+    attn.bq => "attn.bq",
+    attn.wk => "attn.wk",
+    attn.bk => "attn.bk",
+    attn.wv => "attn.wv",
+    attn.bv => "attn.bv",
+    attn.wo => "attn.wo",
+    attn.bo => "attn.bo",
+    ln1_gamma => "ln1.gamma",
+    ln1_beta => "ln1.beta",
+    fc1_w => "fc1.weight",
+    fc1_b => "fc1.bias",
+    fc2_w => "fc2.weight",
+    fc2_b => "fc2.bias",
+    ln2_gamma => "ln2.gamma",
+    ln2_beta => "ln2.beta",
+});
 
 /// Saved activations for the backward pass.
 #[derive(Debug, Clone)]
@@ -233,7 +206,8 @@ pub fn layer_fwd(
     ))
 }
 
-/// Layer backward. Returns `(dx, grads)`.
+/// Layer backward. Returns `dx` and the layer's gradients, held in a
+/// [`LayerParams`].
 ///
 /// # Errors
 ///
@@ -244,7 +218,7 @@ pub fn layer_bwd(
     p: &LayerParams,
     acts: &LayerActivations,
     dy: &Tensor,
-) -> Result<(Tensor, LayerGrads)> {
+) -> Result<(Tensor, LayerParams)> {
     let bwd = Phase::Backward;
     // Post-FFN LayerNorm + dropout backward.
     let ln2_ctx = lc.kctx("ln2", Category::DropResidualNorm, bwd);
@@ -275,7 +249,7 @@ pub fn layer_bwd(
     let dx = residual_add(tracer, &post_attn, &d_res1, &dx_attn)?;
     Ok((
         dx,
-        LayerGrads {
+        LayerParams {
             attn: attn_grads,
             ln1_gamma: d_ln1_gamma,
             ln1_beta: d_ln1_beta,
@@ -404,7 +378,10 @@ mod tests {
     fn half_precision_layer_runs_and_stays_finite() {
         let (cfg, _, p, x) = setup();
         let lc = LayerCtx::new(&cfg, 0, DType::F16, 0.0, false, false);
-        let p16 = p.to_dtype(DType::F16);
+        let mut p16 = p.clone();
+        for t in p16.tensors_mut() {
+            *t = t.to_dtype(DType::F16);
+        }
         let x16 = x.to_dtype(DType::F16);
         let mut tr = Tracer::new();
         let (y, acts) = layer_fwd(&mut tr, &lc, &p16, &x16, None, 0).unwrap();

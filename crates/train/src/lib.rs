@@ -9,6 +9,12 @@
 //! scaling and f32 master weights, fused-QKV execution, and activation
 //! checkpointing with real recomputation.
 //!
+//! Every parameter's name, slot order and group is declared once, in the
+//! crate's parameter inventory (the embeddings, one group per layer, the
+//! output heads). Optimizer slots ([`Bert::param_slots`]), checkpoints,
+//! fault injection and gradient-observer groups all derive their order
+//! from it, and that order is the `bertscope-model` inventory's.
+//!
 //! Every kernel call reports itself to the tracer, so executing one training
 //! step yields the same operation stream the analytic graph in
 //! `bertscope-model` predicts — the cross-validation at the heart of the
@@ -28,6 +34,7 @@ pub mod error;
 pub mod graph;
 pub mod layer;
 pub mod optim;
+mod params;
 pub mod scaler;
 pub mod sync;
 pub mod trainer;
@@ -37,7 +44,7 @@ pub use checkpoint::{ParamRecord, TrainCheckpoint};
 pub use data::{PretrainBatch, SyntheticCorpus};
 pub use defer::{BucketSink, BucketedAverager, GradObserver};
 pub use error::{RecoveryPolicy, TrainError};
-pub use layer::{layer_bwd, layer_fwd, LayerActivations, LayerCtx, LayerGrads, LayerParams};
+pub use layer::{layer_bwd, layer_fwd, LayerActivations, LayerCtx, LayerParams};
 pub use optim::{Adam, Lamb, Optimizer, OptimizerState, ParamSlot, Sgd, SlotState, WarmupSchedule};
 pub use scaler::{LossScaler, ScalerState};
 pub use sync::{GradSync, SyncError};

@@ -140,6 +140,39 @@ fn group_of(name: &str) -> String {
     }
 }
 
+/// LAMB stage 2: `master -= step_scale * update`, then the parameter takes
+/// the master weight quantized to its dtype. Chunked over the pool; every
+/// element is independent, so results are bit-identical at any pool size.
+fn apply_update(master: &mut [f32], value: &mut Tensor, update: &[f32], step_scale: f32) {
+    let dt = value.dtype();
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = master
+        .chunks_mut(OPT_GRAIN)
+        .zip(value.as_mut_slice().chunks_mut(OPT_GRAIN))
+        .enumerate()
+        .map(|(ci, (mchunk, vchunk))| {
+            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                let off = ci * OPT_GRAIN;
+                for i in 0..mchunk.len() {
+                    mchunk[i] -= step_scale * update[off + i];
+                    vchunk[i] = dt.quantize(mchunk[i]);
+                }
+            });
+            task
+        })
+        .collect();
+    pool::run_tasks(tasks);
+}
+
+/// The accounting entry of update group `group`, appended with a default
+/// value on first sight, so groups keep first-seen (slot) order.
+fn group_entry<V: Default>(groups: &mut Vec<(String, V)>, group: String) -> &mut V {
+    let i = groups.iter().position(|(g, _)| *g == group).unwrap_or_else(|| {
+        groups.push((group, V::default()));
+        groups.len() - 1
+    });
+    &mut groups[i].1
+}
+
 fn update_rec(
     name: String,
     cat: Category,
@@ -222,7 +255,6 @@ impl Lamb {
     /// Apply one LAMB update to the given parameters.
     pub fn step(&mut self, tracer: &mut Tracer, slots: &mut [ParamSlot<'_>]) {
         self.step += 1;
-        let t = self.step as i32;
         let inv_scale = 1.0 / self.grad_scale;
 
         // Global gradient norm: LAMB pre-normalizes gradients when their
@@ -243,22 +275,14 @@ impl Lamb {
             AccessSet::new(&grad_ids, &[]),
         ));
 
-        // Group accounting for the two fused stages.
-        let mut group_numel: Vec<(String, u64)> = Vec::new();
-        for s in slots.iter() {
-            let g = group_of(s.name);
-            match group_numel.iter_mut().find(|(name, _)| *name == g) {
-                Some((_, n)) => *n += s.grad.numel() as u64,
-                None => group_numel.push((g, s.grad.numel() as u64)),
-            }
-        }
-        // Per-group access sets for the fused stage records: stage 1 reads
-        // gradients + moments + master weights and rewrites the moments;
-        // stage 2 applies the trust-ratio step to masters and parameters.
-        let mut group_access: Vec<(String, AccessSet, AccessSet)> = Vec::new();
+        // Per-group element counts and access sets for the two fused stage
+        // records: stage 1 reads gradients + moments + master weights and
+        // rewrites the moments; stage 2 applies the trust-ratio step to
+        // masters and parameters.
+        let mut groups: Vec<(String, (u64, AccessSet, AccessSet))> = Vec::new();
 
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
+        let bc1 = 1.0 - self.beta1.powi(self.step as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.step as i32);
         for s in slots.iter_mut() {
             let n = s.value.numel();
             let master = self
@@ -270,16 +294,8 @@ impl Lamb {
                 .entry(s.name.to_owned())
                 .or_insert_with(|| Moments { m: Buffer::zeroed(n), v: Buffer::zeroed(n) });
             {
-                let g = group_of(s.name);
-                let (stage1, stage2) = match group_access.iter_mut().find(|(name, _, _)| *name == g)
-                {
-                    Some((_, a1, a2)) => (a1, a2),
-                    None => {
-                        group_access.push((g, AccessSet::default(), AccessSet::default()));
-                        let last = group_access.last_mut().expect("just pushed");
-                        (&mut last.1, &mut last.2)
-                    }
-                };
+                let (numel, stage1, stage2) = group_entry(&mut groups, group_of(s.name));
+                *numel += n as u64;
                 stage1.reads.extend([s.grad.buf_id(), master.id(), st.m.id(), st.v.id()]);
                 stage1.writes.extend([st.m.id(), st.v.id()]);
                 stage2.reads.extend([st.m.id(), st.v.id(), master.id()]);
@@ -327,34 +343,11 @@ impl Lamb {
             let w_norm = w_sq.sqrt() as f32;
             let u_norm = u_sq.sqrt() as f32;
             let trust = if w_norm > 0.0 && u_norm > 0.0 { w_norm / u_norm } else { 1.0 };
-            let dt = s.value.dtype();
-            let step_scale = self.lr * trust;
-            let update_ro: &[f32] = &update;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = master
-                .chunks_mut(OPT_GRAIN)
-                .zip(s.value.as_mut_slice().chunks_mut(OPT_GRAIN))
-                .enumerate()
-                .map(|(ci, (mchunk, vchunk))| {
-                    let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                        let off = ci * OPT_GRAIN;
-                        for i in 0..mchunk.len() {
-                            mchunk[i] -= step_scale * update_ro[off + i];
-                            vchunk[i] = dt.quantize(mchunk[i]);
-                        }
-                    });
-                    task
-                })
-                .collect();
-            pool::run_tasks(tasks);
+            apply_update(master, s.value, &update, self.lr * trust);
         }
 
         // Trace the two fused stages per group, matching the analytic graph.
-        for (g, n) in group_numel {
-            let (a1, a2) = group_access
-                .iter()
-                .find(|(name, _, _)| *name == g)
-                .map(|(_, a1, a2)| (a1.clone(), a2.clone()))
-                .unwrap_or_default();
+        for (g, (n, a1, a2)) in groups {
             tracer.record(update_rec(
                 format!("lamb.{g}.stage1.update"),
                 Category::LambStage1,
@@ -445,8 +438,7 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(t);
         let bc2 = 1.0 - self.beta2.powi(t);
         let inv_scale = 1.0 / self.grad_scale;
-        let mut group_numel: Vec<(String, u64)> = Vec::new();
-        let mut group_access: Vec<(String, AccessSet)> = Vec::new();
+        let mut groups: Vec<(String, (u64, AccessSet))> = Vec::new();
         for s in slots.iter_mut() {
             let n = s.value.numel();
             let master = self
@@ -486,18 +478,8 @@ impl Adam {
                     .collect();
             pool::run_tasks(tasks);
             if self.fused {
-                let g = group_of(s.name);
-                match group_numel.iter_mut().find(|(name, _)| *name == g) {
-                    Some((_, c)) => *c += n as u64,
-                    None => group_numel.push((g.clone(), n as u64)),
-                }
-                let access = match group_access.iter_mut().find(|(name, _)| *name == g) {
-                    Some((_, a)) => a,
-                    None => {
-                        group_access.push((g, AccessSet::default()));
-                        &mut group_access.last_mut().expect("just pushed").1
-                    }
-                };
+                let (numel, access) = group_entry(&mut groups, group_of(s.name));
+                *numel += n as u64;
                 access.reads.extend([s.grad.buf_id(), st.m.id(), st.v.id(), master.id()]);
                 access.writes.extend([st.m.id(), st.v.id(), master.id(), s.value.buf_id()]);
             } else {
@@ -530,12 +512,7 @@ impl Adam {
                 }
             }
         }
-        for (g, n) in group_numel {
-            let access = group_access
-                .iter()
-                .find(|(name, _)| *name == g)
-                .map(|(_, a)| a.clone())
-                .unwrap_or_default();
+        for (g, (n, access)) in groups {
             tracer.record(update_rec(
                 format!("adam.{g}.fused.update"),
                 Category::LambStage1,
@@ -676,13 +653,13 @@ mod tests {
     #[test]
     fn warmup_schedule_ramps_then_decays() {
         let sched = WarmupSchedule::new(1e-3, 10, 100);
-        assert_eq!(sched.lr_at(0), 0.0);
+        assert_eq!(sched.lr_at(0).to_bits(), 0.0f32.to_bits());
         assert!((sched.lr_at(5) - 5e-4).abs() < 1e-9, "halfway through warmup");
         assert!((sched.lr_at(10) - 1e-3).abs() < 1e-9, "peak at warmup end");
         assert!(sched.lr_at(55) < sched.lr_at(10));
         assert!(sched.lr_at(55) > sched.lr_at(90));
-        assert_eq!(sched.lr_at(100), 0.0);
-        assert_eq!(sched.lr_at(1000), 0.0);
+        assert_eq!(sched.lr_at(100).to_bits(), 0.0f32.to_bits());
+        assert_eq!(sched.lr_at(1000).to_bits(), 0.0f32.to_bits());
         // Monotone up then monotone down.
         for s in 1..10 {
             assert!(sched.lr_at(s + 1) > sched.lr_at(s));
@@ -820,7 +797,7 @@ mod tests {
         for _ in 0..50 {
             opt.step(&mut tr, &mut [ParamSlot { name: "w", value: &mut w, grad: &g }]);
         }
-        assert_eq!(w.as_slice()[0], 1.0, "f16 swallows tiny SGD steps");
+        assert_eq!(w.as_slice()[0].to_bits(), 1.0f32.to_bits(), "f16 swallows tiny SGD steps");
         // ...but Adam's master copy accumulates them.
         let mut w2 = Tensor::ones(&[4]).to_dtype(DType::F16);
         let mut adam = Adam::new(1e-5);
@@ -863,13 +840,13 @@ mod tests {
     fn set_grad_scale_updates_the_divisor() {
         let mut opt = Lamb::new(0.01);
         opt.set_grad_scale(256.0);
-        assert_eq!(Optimizer::grad_scale(&opt), 256.0);
+        assert_eq!(Optimizer::grad_scale(&opt).to_bits(), 256.0f32.to_bits());
         let mut adam = Adam::new(0.01);
         adam.set_grad_scale(64.0);
-        assert_eq!(Optimizer::grad_scale(&adam), 64.0);
+        assert_eq!(Optimizer::grad_scale(&adam).to_bits(), 64.0f32.to_bits());
         let mut sgd = Sgd::new(0.01);
         sgd.set_grad_scale(8.0);
-        assert_eq!(Optimizer::grad_scale(&sgd), 8.0);
+        assert_eq!(Optimizer::grad_scale(&sgd).to_bits(), 8.0f32.to_bits());
     }
 
     #[test]

@@ -247,12 +247,12 @@ mod tests {
     fn overflow_halves_and_growth_doubles() {
         let mut s = LossScaler::dynamic(1024.0).with_growth_interval(3);
         s.on_overflow();
-        assert_eq!(s.scale(), 512.0);
+        assert_eq!(s.scale().to_bits(), 512.0f32.to_bits());
         assert_eq!(s.overflows(), 1);
         assert!(!s.on_clean_step());
         assert!(!s.on_clean_step());
         assert!(s.on_clean_step(), "third clean step grows the scale");
-        assert_eq!(s.scale(), 1024.0);
+        assert_eq!(s.scale().to_bits(), 1024.0f32.to_bits());
         assert_eq!(s.clean_streak(), 0);
     }
 
@@ -264,31 +264,31 @@ mod tests {
         s.on_clean_step();
         s.on_overflow();
         assert_eq!(s.clean_streak(), 0);
-        assert_eq!(s.scale(), 128.0);
+        assert_eq!(s.scale().to_bits(), 128.0f32.to_bits());
     }
 
     #[test]
     fn scale_is_clamped_to_bounds() {
         let mut s = LossScaler::dynamic(1.0).with_growth_interval(1);
         s.on_overflow();
-        assert_eq!(s.scale(), 1.0, "backoff clamps at min_scale");
+        assert_eq!(s.scale().to_bits(), 1.0f32.to_bits(), "backoff clamps at min_scale");
         let mut s = LossScaler::dynamic(2f32.powi(24)).with_growth_interval(1);
         assert!(!s.on_clean_step(), "no growth past max_scale");
-        assert_eq!(s.scale(), 2f32.powi(24));
+        assert_eq!(s.scale().to_bits(), 2f32.powi(24).to_bits());
     }
 
     #[test]
     fn fixed_scaler_never_moves() {
         let mut s = LossScaler::fixed(128.0);
         s.on_overflow();
-        assert_eq!(s.scale(), 128.0);
+        assert_eq!(s.scale().to_bits(), 128.0f32.to_bits());
         assert_eq!(s.overflows(), 1, "overflows are still counted");
         for _ in 0..100 {
             assert!(!s.on_clean_step());
         }
-        assert_eq!(s.scale(), 128.0);
+        assert_eq!(s.scale().to_bits(), 128.0f32.to_bits());
         assert!(!s.is_dynamic());
-        assert_eq!(LossScaler::none().scale(), 1.0);
+        assert_eq!(LossScaler::none().scale().to_bits(), 1.0f32.to_bits());
     }
 
     #[test]

@@ -186,13 +186,7 @@ impl<O: Optimizer> Trainer<O> {
             attempts += 1;
             bert.set_loss_scale(self.scaler.scale());
             let out = bert.train_step(tracer, batch)?;
-            self.micro_steps += 1;
-            for (param, value) in self.faults.gradient_faults_at(self.micro_steps) {
-                assert!(
-                    bert.corrupt_gradient(param, value),
-                    "fault plan names unknown parameter `{param}`"
-                );
-            }
+            self.count_micro_step(bert);
             match self.first_non_finite(bert, out) {
                 None => break out,
                 Some(err) => match self.policy {
@@ -214,17 +208,7 @@ impl<O: Optimizer> Trainer<O> {
                 },
             }
         };
-        {
-            let slots = bert.param_slots();
-            if self.sums.is_empty() {
-                self.sums = slots.iter().map(|s| (*s.grad).clone()).collect();
-            } else {
-                for (sum, slot) in self.sums.iter_mut().zip(&slots) {
-                    sum.axpy(1.0, slot.grad)?;
-                }
-            }
-        }
-        self.pending += 1;
+        self.accumulate(bert)?;
         if self.pending < self.accumulation_steps {
             return Ok((out, StepResult::Accumulated));
         }
@@ -276,13 +260,7 @@ impl<O: Optimizer> Trainer<O> {
             let mut averager = WindowAverager { sums: &self.sums, inv, inner: observer };
             bert.train_step_observed(tracer, batch, Some(&mut averager))?
         };
-        self.micro_steps += 1;
-        for (param, value) in self.faults.gradient_faults_at(self.micro_steps) {
-            assert!(
-                bert.corrupt_gradient(param, value),
-                "fault plan names unknown parameter `{param}`"
-            );
-        }
+        self.count_micro_step(bert);
         // Abort on non-finite numbers; under SkipStep the post-sync scaler
         // check skips the update on every rank consistently (the poisoned
         // values were already reduced identically everywhere).
@@ -291,17 +269,7 @@ impl<O: Optimizer> Trainer<O> {
                 return Err(err);
             }
         }
-        {
-            let slots = bert.param_slots();
-            if self.sums.is_empty() {
-                self.sums = slots.iter().map(|s| (*s.grad).clone()).collect();
-            } else {
-                for (sum, slot) in self.sums.iter_mut().zip(&slots) {
-                    sum.axpy(1.0, slot.grad)?;
-                }
-            }
-        }
-        self.pending += 1;
+        self.accumulate(bert)?;
         Ok((out, self.pending >= self.accumulation_steps))
     }
 
@@ -342,34 +310,7 @@ impl<O: Optimizer> Trainer<O> {
         // The finiteness check runs on the *post-reduce* gradients, which
         // are bit-identical on every rank — so the replicas agree on the
         // skip decision without a separate vote.
-        if !self.scaler.unscale_check(tracer, &averaged) {
-            self.scaler.trace_overflow(tracer);
-            self.scaler.on_overflow();
-            self.sums.clear();
-            self.pending = 0;
-            self.skipped_updates += 1;
-            return Ok(StepResult::SkippedOverflow);
-        }
-        // The optimizer must divide out the scale these gradients were
-        // computed under; growth (if any) only affects the next window.
-        let window_scale = self.scaler.scale();
-        if self.scaler.on_clean_step() {
-            self.scaler.trace_rescale(tracer);
-        }
-        {
-            let mut slots = bert.param_slots();
-            let mut avg_slots: Vec<ParamSlot<'_>> = slots
-                .iter_mut()
-                .zip(&averaged)
-                .map(|(s, g)| ParamSlot { name: s.name, value: s.value, grad: g })
-                .collect();
-            self.optimizer.set_grad_scale(window_scale);
-            self.optimizer.step(tracer, &mut avg_slots);
-        }
-        self.sums.clear();
-        self.pending = 0;
-        self.updates += 1;
-        Ok(StepResult::Updated)
+        Ok(self.finish_window(tracer, bert, &averaged))
     }
 
     /// The post-sync half of [`close_window`](Trainer::close_window), for
@@ -390,7 +331,7 @@ impl<O: Optimizer> Trainer<O> {
         &mut self,
         tracer: &mut Tracer,
         bert: &mut Bert,
-        synced: Vec<Tensor>,
+        synced: &[Tensor],
     ) -> Result<StepResult, TrainError> {
         if self.pending == 0 {
             return Err(TrainError::InvalidState(
@@ -404,33 +345,70 @@ impl<O: Optimizer> Trainer<O> {
                 "pre-synced gradients do not match the window's parameter slots".into(),
             ));
         }
-        let averaged = synced;
-        if !self.scaler.unscale_check(tracer, &averaged) {
-            self.scaler.trace_overflow(tracer);
-            self.scaler.on_overflow();
-            self.sums.clear();
-            self.pending = 0;
-            self.skipped_updates += 1;
-            return Ok(StepResult::SkippedOverflow);
+        Ok(self.finish_window(tracer, bert, synced))
+    }
+
+    /// Count the micro-step just executed and apply the fault plan's
+    /// gradient faults for it.
+    fn count_micro_step(&mut self, bert: &mut Bert) {
+        self.micro_steps += 1;
+        for (param, value) in self.faults.gradient_faults_at(self.micro_steps) {
+            assert!(
+                bert.corrupt_gradient(param, value),
+                "fault plan names unknown parameter `{param}`"
+            );
         }
-        let window_scale = self.scaler.scale();
-        if self.scaler.on_clean_step() {
-            self.scaler.trace_rescale(tracer);
+    }
+
+    /// Add the micro-step's gradients to the open window's sums.
+    fn accumulate(&mut self, bert: &mut Bert) -> Result<(), TrainError> {
+        let slots = bert.param_slots();
+        if self.sums.is_empty() {
+            self.sums = slots.iter().map(|s| (*s.grad).clone()).collect();
+        } else {
+            for (sum, slot) in self.sums.iter_mut().zip(&slots) {
+                sum.axpy(1.0, slot.grad)?;
+            }
         }
-        {
+        self.pending += 1;
+        Ok(())
+    }
+
+    /// The common tail of both window closes: the scaler's
+    /// unscale/finiteness check on the synchronized window averages, then
+    /// the optimizer update or the overflow skip, then a fresh window.
+    fn finish_window(
+        &mut self,
+        tracer: &mut Tracer,
+        bert: &mut Bert,
+        averaged: &[Tensor],
+    ) -> StepResult {
+        let result = if self.scaler.unscale_check(tracer, averaged) {
+            // The optimizer must divide out the scale these gradients were
+            // computed under; growth (if any) only affects the next window.
+            let window_scale = self.scaler.scale();
+            if self.scaler.on_clean_step() {
+                self.scaler.trace_rescale(tracer);
+            }
             let mut slots = bert.param_slots();
             let mut avg_slots: Vec<ParamSlot<'_>> = slots
                 .iter_mut()
-                .zip(&averaged)
+                .zip(averaged)
                 .map(|(s, g)| ParamSlot { name: s.name, value: s.value, grad: g })
                 .collect();
             self.optimizer.set_grad_scale(window_scale);
             self.optimizer.step(tracer, &mut avg_slots);
-        }
+            self.updates += 1;
+            StepResult::Updated
+        } else {
+            self.scaler.trace_overflow(tracer);
+            self.scaler.on_overflow();
+            self.skipped_updates += 1;
+            StepResult::SkippedOverflow
+        };
         self.sums.clear();
         self.pending = 0;
-        self.updates += 1;
-        Ok(StepResult::Updated)
+        result
     }
 
     /// First non-finite quantity of the just-executed micro-step, if any.
@@ -462,7 +440,7 @@ impl<O: Optimizer> Trainer<O> {
             .param_values_mut()
             .into_iter()
             .map(|(name, t)| ParamRecord {
-                name,
+                name: name.to_owned(),
                 dims: t.dims().to_vec(),
                 dtype: t.dtype(),
                 data: t.as_slice().to_vec(),
@@ -701,7 +679,11 @@ mod tests {
         assert_eq!(r2, StepResult::SkippedOverflow);
         assert_eq!(trainer.updates(), 0);
         assert_eq!(trainer.skipped_updates(), 1);
-        assert_eq!(trainer.scaler().scale(), 512.0, "overflow halves the scale");
+        assert_eq!(
+            trainer.scaler().scale().to_bits(),
+            512.0f32.to_bits(),
+            "overflow halves the scale"
+        );
         // The skipped window traced the check and the overflow marker but
         // launched zero optimizer kernels.
         assert!(tr.records().iter().any(|r| r.name.contains("scaler.overflow")));

@@ -218,7 +218,7 @@ fn optimizer_never_starts_before_its_buckets_allreduce_retires() {
             access: AccessSet { reads: ids.clone(), writes: ids, allocs: vec![], frees: vec![] },
         });
     }
-    trainer.close_window_presynced(&mut tracer, &mut bert, averaged).expect("presynced close");
+    trainer.close_window_presynced(&mut tracer, &mut bert, &averaged).expect("presynced close");
 
     let records = tracer.records();
     let comm_ops = records.iter().filter(|o| o.kind == OpKind::Comm).count();
