@@ -1,7 +1,7 @@
 //! Data-parallel training model (paper §5.1-5.2, configurations D1/D2).
 //!
 //! Per-device computation equals single-device training; gradients are
-//! averaged with a Ring AllReduce every iteration. With overlap, layer `L`'s
+//! averaged with a Ring `AllReduce` every iteration. With overlap, layer `L`'s
 //! gradient communication proceeds while the device computes layer `L-1`'s
 //! gradients — modelled, as in the paper, by running compute and the
 //! communication engine as two pipelined resources and exposing only the
@@ -147,7 +147,7 @@ mod tests {
     fn single_device_degenerates_to_local_training() {
         let (cfg, opts, gpu, link) = setup();
         let p = data_parallel_profile(&cfg, &opts, &gpu, &link, 1, true);
-        assert_eq!(p.group_fraction(Group::Comm), 0.0);
+        assert_eq!(p.group_fraction(Group::Comm).to_bits(), 0f64.to_bits());
     }
 
     #[test]

@@ -19,9 +19,9 @@ pub struct HybridPlan {
     pub ts_ways: usize,
     /// Data-parallel replica count across clusters (inter-node).
     pub dp_replicas: usize,
-    /// Intra-node fabric used by the tensor-slicing AllReduces.
+    /// Intra-node fabric used by the tensor-slicing `AllReduce`s.
     pub intra_link: Link,
-    /// Inter-node link used by the gradient AllReduce.
+    /// Inter-node link used by the gradient `AllReduce`.
     pub inter_link: Link,
 }
 
@@ -35,7 +35,7 @@ impl HybridPlan {
 
 /// Per-device profile of hybrid training under `plan`.
 ///
-/// Tensor-slicing AllReduces are serialized (data dependencies); the
+/// Tensor-slicing `AllReduce`s are serialized (data dependencies); the
 /// data-parallel gradient exchange of the `1/M` local parameter shard is
 /// modelled with full overlap against backprop (the paper's D2-style
 /// optimization), exposing only the residual.
@@ -158,7 +158,7 @@ mod tests {
         let gpu = GpuModel::mi100();
         // ts=1, dp=1: single device.
         let single = hybrid_profile(&cfg, &opts, &gpu, &plan(1, 1));
-        assert_eq!(single.group_fraction(Group::Comm), 0.0);
+        assert_eq!(single.group_fraction(Group::Comm).to_bits(), 0f64.to_bits());
         // ts=m, dp=1: pure tensor slicing on the intra link.
         let h = hybrid_profile(&cfg, &opts, &gpu, &plan(4, 1));
         let pure = crate::ts::tensor_slice_profile(&cfg, &opts, &gpu, &Link::xgmi(), 4);

@@ -3,16 +3,16 @@
 //! * [`dp`] — data parallelism with and without compute/communication
 //!   overlap (paper configurations D1/D2);
 //! * [`ts`] — Megatron-style tensor slicing: the per-device graph transform
-//!   plus four serialized AllReduces per layer (configurations T1/T2);
-//! * [`zero`] — ZeRO-style optimizer-state sharding (the ZeRO (paper ref. 69) approach the
+//!   plus four serialized `AllReduce`s per layer (configurations T1/T2);
+//! * [`zero`] — ZeRO-style optimizer-state sharding (the `ZeRO` (paper ref. 69) approach the
 //!   paper discusses, including LAMB's surviving grad-norm dependency);
 //! * [`hybrid`] — M-way slicing x D-way replication clusters (paper §2.5);
 //! * [`figure11_profiles`] — the complete Fig. 11 configuration set;
 //! * [`linkmodel`] — α/β interconnect parameters fitted from *measured*
-//!   AllReduce timings, bridging the socket runtime back to the analytic
+//!   `AllReduce` timings, bridging the socket runtime back to the analytic
 //!   [`Link`](bertscope_device::Link) model;
 //! * [`proc`] — a real multi-process elastic data-parallel runtime:
-//!   the socket ring AllReduce that grounds the analytic communication
+//!   the socket ring `AllReduce` that grounds the analytic communication
 //!   model (also runnable in-process over loopback, with injected ring
 //!   faults), supervised membership, fault injection and
 //!   checkpoint/elastic recovery.
@@ -105,7 +105,7 @@ mod tests {
         let lamb = |l: &str| get(l).group_fraction(Group::Lamb);
 
         // S1 has no communication; D2's profile is close to S1 (Obs. 5).
-        assert_eq!(comm("S1"), 0.0);
+        assert_eq!(comm("S1").to_bits(), 0f64.to_bits());
         assert!(comm("D2") < 0.08, "D2 comm {}", comm("D2"));
         // D1 exposes significant communication (paper: ~19%).
         assert!(comm("D1") > 2.0 * comm("D2").max(0.02), "D1 comm {}", comm("D1"));

@@ -1,5 +1,5 @@
 //! Fitted α/β link model: closing the loop between measured and modelled
-//! AllReduce time.
+//! `AllReduce` time.
 //!
 //! The paper's §5.1 scaling analysis charges communication with an
 //! analytic `steps·α + volume/BW` cost (the [`Link`] model in
@@ -31,7 +31,7 @@ pub struct LinkSample {
 /// A fitted latency/bandwidth model of one ring link:
 /// `t_us = alpha_us · steps + beta_us_per_byte · wire_bytes`, where
 /// `steps = 2(D−1)` and `wire_bytes = 2(D−1)/D · bytes` (the ring
-/// AllReduce's per-device traffic).
+/// `AllReduce`'s per-device traffic).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Per-hop latency in microseconds (the α term).
@@ -55,7 +55,7 @@ pub fn ring_steps(devices: usize) -> f64 {
     }
 }
 
-/// Per-device wire traffic of a ring AllReduce over `bytes` payload:
+/// Per-device wire traffic of a ring `AllReduce` over `bytes` payload:
 /// `2(d−1)/d · bytes`.
 #[must_use]
 pub fn ring_wire_bytes(bytes: u64, devices: usize) -> f64 {

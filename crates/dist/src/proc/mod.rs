@@ -4,7 +4,7 @@
 //! N *rank* workers (OS threads for cheap tests, or genuinely separate
 //! processes re-exec'd from the same binary) each train a full replica
 //! on the `bertscope-train` substrate and exchange gradients over local
-//! TCP sockets via a bucketed ring AllReduce. A supervisor process holds
+//! TCP sockets via a bucketed ring `AllReduce`. A supervisor process holds
 //! the control plane: it launches ranks, distributes ring membership,
 //! listens to heartbeats, and when a rank dies mid-step drives one of two
 //! recovery modes:
@@ -27,7 +27,7 @@
 //! * [`transport`] — length-prefixed, checksummed, acknowledged frames
 //!   over TCP, with deterministic socket-fault injection (drop / delay /
 //!   corrupt) from the shared [`FaultPlan`](bertscope_tensor::FaultPlan);
-//! * [`ring`] — the socket ring AllReduce (bit-exact against a serial
+//! * [`ring`] — the socket ring `AllReduce` (bit-exact against a serial
 //!   reference simulation), epoch-tagged ring formation and the
 //!   in-process loopback runner [`ring::run_local_ring`];
 //! * [`control`] — the supervisor<->worker message vocabulary;

@@ -1,4 +1,4 @@
-//! The ring AllReduce (Baidu's ring algorithm, paper ref. 28) over TCP
+//! The ring `AllReduce` (Baidu's ring algorithm, paper ref. 28) over TCP
 //! connections between ranks: `2(D-1)` pipeline steps of reduce-scatter +
 //! all-gather over `D` chunks, the collective whose `2(D-1)/D x bytes`
 //! per-rank traffic the paper's §5.1 model charges.

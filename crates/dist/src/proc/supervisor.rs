@@ -95,7 +95,7 @@ impl ClusterConfig {
             heartbeat: Duration::from_millis(25),
             hb_grace: Duration::from_secs(2),
             control_timeout: Duration::from_secs(10),
-            run_timeout: Duration::from_secs(120),
+            run_timeout: Duration::from_mins(2),
             trace_dir: None,
         }
     }
@@ -308,10 +308,7 @@ fn start_control_plane(
 
 fn reader_loop(stream: TcpStream, tx: &mpsc::Sender<Ev>, gen: u32) {
     let _ = stream.set_nodelay(true);
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let Ok(writer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     // First line must be the hello.
@@ -331,17 +328,15 @@ fn reader_loop(stream: TcpStream, tx: &mpsc::Sender<Ev>, gen: u32) {
                 let _ = tx.send(Ev::Gone { gen, rank });
                 return;
             }
-            Ok(_) => match ControlMsg::from_line(&line) {
-                Ok(msg) => {
-                    if tx.send(Ev::Msg { gen, rank, msg }).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => {
+            Ok(_) => {
+                let Ok(msg) = ControlMsg::from_line(&line) else {
                     let _ = tx.send(Ev::Gone { gen, rank });
                     return;
+                };
+                if tx.send(Ev::Msg { gen, rank, msg }).is_err() {
+                    return;
                 }
-            },
+            }
         }
     }
 }
@@ -430,7 +425,6 @@ fn supervise(cfg: &ClusterConfig, mut backend: Backend<'_>) -> Result<ClusterRep
             let cur_gen = gen.load(Ordering::Relaxed);
             let mut dead: Option<usize> = None;
             match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(Ev::Hello { .. }) => {} // late duplicate; ignore
                 Ok(Ev::Msg { gen: g, rank, msg }) if g == cur_gen => {
                     if let Some(worker) = live.get_mut(&rank) {
                         worker.last_seen = Instant::now();
@@ -455,7 +449,6 @@ fn supervise(cfg: &ClusterConfig, mut backend: Backend<'_>) -> Result<ClusterRep
                             {
                                 awaiting.push(rank);
                             }
-                            ControlMsg::SyncFail { .. } => {}
                             ControlMsg::Done { updates, weights_hash } => {
                                 worker.updates = updates;
                                 worker.done = Some(weights_hash);
@@ -473,6 +466,7 @@ fn supervise(cfg: &ClusterConfig, mut backend: Backend<'_>) -> Result<ClusterRep
                         dead = Some(rank);
                     }
                 }
+                // Late duplicate hellos and other generations' events.
                 Ok(_) | Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     return Err(DistError::Protocol("control plane collapsed".into()));

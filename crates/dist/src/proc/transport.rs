@@ -59,7 +59,7 @@ pub struct TransportStats {
     pub retries: u64,
     /// Acknowledgement waits that expired and were absorbed by a resend.
     pub timeouts: u64,
-    /// Frames received with a checksum mismatch (NACKed).
+    /// Frames received with a checksum mismatch (`NACK`ed).
     pub corrupt_frames: u64,
     /// Duplicate DATA frames dropped (resend raced a lost ACK).
     pub duplicates: u64,
@@ -270,7 +270,7 @@ impl FrameConn {
     }
 
     /// Receive the next in-order DATA payload, acknowledging it.
-    /// Checksum-mismatched frames are NACKed (the sender resends),
+    /// Checksum-mismatched frames are `NACK`ed (the sender resends),
     /// duplicates are re-ACKed and dropped.
     ///
     /// The receive deadline spans the sender's whole retry budget

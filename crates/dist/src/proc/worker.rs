@@ -3,7 +3,7 @@
 //!
 //! Every rank builds the *same* model (same init seed), trains on
 //! rank-disjoint deterministic synthetic batches, and installs a
-//! [`GradSync`] bridge that AllReduces the window-averaged gradients over
+//! [`GradSync`] bridge that `AllReduce`s the window-averaged gradients over
 //! the [`SocketRing`] — so the replicas stay bit-identical, which the
 //! supervisor verifies by comparing the weight hashes every rank reports
 //! at the end of the run.
@@ -61,7 +61,7 @@ pub struct WorkerConfig {
     /// Gradient-accumulation window (micro-steps per update).
     pub accumulation: usize,
     /// Overlap backward with communication: run the recorded step on the
-    /// operator-graph scheduler and AllReduce each gradient bucket on a
+    /// operator-graph scheduler and `AllReduce` each gradient bucket on a
     /// communication thread the moment its last producing op retires,
     /// instead of one aggregate collective after backward. Bit-identical
     /// results either way.
@@ -228,7 +228,7 @@ impl RingShared {
         }
     }
 
-    /// AllReduce `data` over the ring, scale it to the mean and log the
+    /// `AllReduce` `data` over the ring, scale it to the mean and log the
     /// stats. A transport error drops the ring: a reconfiguration must
     /// replace it before the window close is retried.
     fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<RingStats, String> {
@@ -251,7 +251,7 @@ impl RingShared {
     }
 }
 
-/// The `Comm` record of one AllReduce of `elems` values held in the
+/// The `Comm` record of one `AllReduce` of `elems` values held in the
 /// buffers `ids`, which it both reads and writes.
 fn comm_record(name: String, elems: usize, stats: &RingStats, ids: &[BufId]) -> OpRecord {
     OpRecord {
@@ -269,7 +269,7 @@ fn comm_record(name: String, elems: usize, stats: &RingStats, ids: &[BufId]) -> 
     }
 }
 
-/// The trainer-facing bridge: flattens the averaged gradients, AllReduces
+/// The trainer-facing bridge: flattens the averaged gradients, `AllReduce`s
 /// them over the socket ring, rescales by the active world size and
 /// writes them back — tracing the whole exchange as a `Comm` op over the
 /// gradient buffers so the hazard analyzer sees the
@@ -328,7 +328,7 @@ impl BucketSink for ChannelSink {
 /// data, collective stats)`.
 type BucketResult = (usize, Range<usize>, Vec<f32>, RingStats);
 
-/// Body of the per-window communication thread: AllReduce each gradient
+/// Body of the per-window communication thread: `AllReduce` each gradient
 /// bucket as backward fires it, while backward keeps computing the next.
 ///
 /// Each bucket's payload is at most `bucket_elems` long and starts on a
@@ -623,6 +623,8 @@ fn run_worker(
     ctrl_w: &Arc<Mutex<TcpStream>>,
     ctrl_r: &mut BufReader<TcpStream>,
 ) -> Result<WorkerReport, DistError> {
+    // Any rank may inherit the checkpoint duty after a membership change.
+    std::fs::create_dir_all(&cfg.ckpt_dir)?;
     let shared = Arc::new(Mutex::new(RingShared::default()));
     let mut last_epoch: u32 = 0;
     let mut checkpoint_duty =
@@ -767,6 +769,16 @@ fn run_worker(
     })
 }
 
+/// Distinguishes the tmp files of worker incarnations that share a
+/// process (thread backend). The tmp name must be unique per worker
+/// *incarnation*: around a restart, the dying generation's checkpoint rank
+/// can still be mid-write while its replacement reaches the same update,
+/// and a shared tmp path would let one incarnation rename the other's file
+/// away (a release-timing ENOENT). The rename target may be overwritten
+/// concurrently, but both incarnations produce the bit-identical
+/// checkpoint, so last-writer-wins is safe.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Post-update duties: report progress; on the checkpointing rank, write
 /// the bit-exact checkpoint atomically (tmp + rename) and announce it.
 fn on_update(
@@ -779,16 +791,7 @@ fn on_update(
     let updates = trainer.updates();
     send_ctrl(ctrl_w, &ControlMsg::Update { updates })?;
     if checkpoint_duty {
-        std::fs::create_dir_all(&cfg.ckpt_dir)?;
         let final_path = cfg.ckpt_dir.join(format!("step_{updates}.bsck"));
-        // The tmp name must be unique per worker *incarnation*: around a
-        // restart, the dying generation's checkpoint rank can still be
-        // mid-write while its replacement reaches the same update, and a
-        // shared tmp path would let one incarnation rename the other's
-        // file away (a release-timing ENOENT). The rename target may be
-        // overwritten concurrently, but both incarnations produce the
-        // bit-identical checkpoint, so last-writer-wins is safe.
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let tmp = cfg.ckpt_dir.join(format!(
             ".step_{updates}.{}.{}.tmp",
             std::process::id(),

@@ -4,7 +4,7 @@
 //! (paper Fig. 10): the Q/K/V projections and FC-1 are column-split, the
 //! attention output projection and FC-2 are row-split (producing partial
 //! sums), attention heads are divided `h/m` per device, and dropout /
-//! residual / LayerNorm are replicated. Four activation/gradient AllReduces
+//! residual / `LayerNorm` are replicated. Four activation/gradient `AllReduce`s
 //! per layer per iteration cannot overlap with compute due to data
 //! dependencies; the optimizer updates only the local `1/m` of the
 //! parameters.
@@ -27,7 +27,7 @@ enum Slice {
     /// Second weight dimension divided by `m`.
     N,
     /// Reduction dimension divided by `m` (row-parallel weight; produces
-    /// partial sums that a subsequent AllReduce combines).
+    /// partial sums that a subsequent `AllReduce` combines).
     K,
     /// Batched GEMM batch divided by `m` (heads are split).
     Batch,
@@ -59,7 +59,12 @@ fn classify(op: &OpRecord) -> Slice {
         },
         // Attention B-GEMMs and score elementwise ops: heads split.
         Category::AttnBgemm => Slice::Batch,
-        Category::ScaleMaskSoftmaxDropout => Slice::Elements,
+        // Score elementwise ops act on the split heads; the optimizer
+        // updates 1/m of the parameters.
+        Category::ScaleMaskSoftmaxDropout
+        | Category::LambStage1
+        | Category::LambStage2
+        | Category::GradNorm => Slice::Elements,
         // FC-1 column-parallel, FC-2 row-parallel.
         Category::FcGemm if name.contains("fc1") => match () {
             () if name.contains(".gemm.") => Slice::M,
@@ -76,12 +81,9 @@ fn classify(op: &OpRecord) -> Slice {
         // GeLU acts on the split intermediate activation.
         Category::Gelu if op.layer.is_some() => Slice::Elements,
         // Dropout/residual/LayerNorm are replicated (paper: "remaining
-        // layers are replicated across devices").
-        Category::DropResidualNorm => Slice::Replicated,
-        // The optimizer updates 1/m of the parameters.
-        Category::LambStage1 | Category::LambStage2 | Category::GradNorm => Slice::Elements,
-        // Embedding and output head: replicated in this model (the paper's
-        // analysis focuses on the Transformer layers).
+        // layers are replicated across devices"), and so are the embedding
+        // and output head in this model (the paper's analysis focuses on
+        // the Transformer layers).
         _ => Slice::Replicated,
     }
 }
@@ -105,7 +107,7 @@ fn rescale_gemm(spec: GemmSpec, slice: Slice, m: usize) -> GemmSpec {
 }
 
 /// Transform the single-device graph into one device's share of an `m`-way
-/// tensor-sliced execution, inserting the four serialized AllReduces per
+/// tensor-sliced execution, inserting the four serialized `AllReduce`s per
 /// layer.
 #[must_use]
 pub fn tensor_slice_ops(cfg: &BertConfig, opts: &GraphOptions, ways: usize) -> Vec<OpRecord> {

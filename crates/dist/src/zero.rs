@@ -11,7 +11,7 @@
 //!   averaged gradients — half the ring-AllReduce volume);
 //! * each device runs the optimizer on its `1/D` parameter shard;
 //! * updated parameters are **all-gathered** back;
-//! * LAMB's global gradient norm still requires a (scalar) AllReduce of the
+//! * LAMB's global gradient norm still requires a (scalar) `AllReduce` of the
 //!   per-shard partial norms, which serializes the update exactly as the
 //!   paper warns — the norm dependency survives sharding.
 
@@ -162,7 +162,7 @@ mod tests {
     fn single_device_zero_is_plain_training() {
         let (cfg, opts, gpu, link) = setup();
         let zero = zero_dp_profile(&cfg, &opts, &gpu, &link, 1);
-        assert_eq!(zero.group_fraction(Group::Comm), 0.0);
+        assert_eq!(zero.group_fraction(Group::Comm).to_bits(), 0f64.to_bits());
         let plain = bertscope_sim::simulate_iteration(&cfg, &opts, &gpu);
         // Same kernel count (no comm inserted), near-identical time (the
         // scalar allreduce is zero for one device).

@@ -1,4 +1,4 @@
-//! Socket-ring AllReduce correctness across real threads and real TCP
+//! Socket-ring `AllReduce` correctness across real threads and real TCP
 //! sockets — bit-exact against the serial reference simulation, with and
 //! without injected socket faults.
 

@@ -263,6 +263,8 @@ impl Bert {
 
     /// One full training step: forward, loss, backward. Gradients are stored
     /// on the model; apply them with [`Bert::param_slots`] + an optimizer.
+    /// The previous step's gradients are released when the next step
+    /// begins, so a step never holds two of the model's gradient sets.
     ///
     /// # Errors
     ///
@@ -280,7 +282,9 @@ impl Bert {
     /// while backward continues on earlier layers.
     ///
     /// The step is recorded as a task graph and run inline, or on the
-    /// scheduler under [`TrainOptions::graph`].
+    /// scheduler under [`TrainOptions::graph`]. The previous step's
+    /// gradients are released before the new step is recorded, so they do
+    /// not stay alive through its forward and backward.
     ///
     /// # Errors
     ///
@@ -295,6 +299,7 @@ impl Bert {
         let seed0 = self.step * 1_000_003;
         // The mask is untraced constant data: compute it before recording.
         let mask = self.attention_mask(batch)?;
+        self.grads = None;
         let (out, grads) =
             crate::graph::run_train_graph(self, tracer, batch, &mask, seed0, observer)?;
         self.grads = Some(grads);

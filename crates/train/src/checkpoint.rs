@@ -66,41 +66,14 @@ pub struct TrainCheckpoint {
 }
 
 impl TrainCheckpoint {
-    /// Serialize to any writer.
+    /// Serialize to any writer with a single `write_all` of
+    /// [`to_bytes`](TrainCheckpoint::to_bytes).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(&MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        for v in
-            [self.bert_step, self.micro_steps, self.updates, self.skipped_updates, self.retries]
-        {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        w.write_all(&self.scaler.scale.to_le_bytes())?;
-        w.write_all(&self.scaler.clean_steps.to_le_bytes())?;
-        w.write_all(&self.scaler.overflows.to_le_bytes())?;
-        w.write_all(&(self.params.len() as u32).to_le_bytes())?;
-        for p in &self.params {
-            write_str(w, &p.name)?;
-            w.write_all(&(p.dims.len() as u32).to_le_bytes())?;
-            for &d in &p.dims {
-                w.write_all(&(d as u64).to_le_bytes())?;
-            }
-            w.write_all(&[dtype_tag(p.dtype)])?;
-            write_f32s(w, &p.data)?;
-        }
-        w.write_all(&self.optimizer.step.to_le_bytes())?;
-        w.write_all(&(self.optimizer.slots.len() as u32).to_le_bytes())?;
-        for s in &self.optimizer.slots {
-            write_str(w, &s.name)?;
-            write_f32s(w, &s.m)?;
-            write_f32s(w, &s.v)?;
-            write_f32s(w, &s.master)?;
-        }
-        Ok(())
+        w.write_all(&self.to_bytes())
     }
 
     /// Deserialize from any reader, validating magic and version.
@@ -167,15 +140,67 @@ impl TrainCheckpoint {
         })
     }
 
-    /// Serialize to a fresh byte buffer.
+    /// Serialize to a fresh byte buffer, sized up front to the exact
+    /// encoded length.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.write_to(&mut buf).expect("writing to a Vec cannot fail");
+        let len = self.encoded_len();
+        let mut buf = Vec::with_capacity(len);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        for v in
+            [self.bert_step, self.micro_steps, self.updates, self.skipped_updates, self.retries]
+        {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.extend_from_slice(&self.scaler.scale.to_le_bytes());
+        buf.extend_from_slice(&self.scaler.clean_steps.to_le_bytes());
+        buf.extend_from_slice(&self.scaler.overflows.to_le_bytes());
+        buf.extend_from_slice(&(self.params.len() as u32).to_le_bytes());
+        for p in &self.params {
+            put_str(&mut buf, &p.name);
+            buf.extend_from_slice(&(p.dims.len() as u32).to_le_bytes());
+            for &d in &p.dims {
+                buf.extend_from_slice(&(d as u64).to_le_bytes());
+            }
+            buf.push(dtype_tag(p.dtype));
+            put_f32s(&mut buf, &p.data);
+        }
+        buf.extend_from_slice(&self.optimizer.step.to_le_bytes());
+        buf.extend_from_slice(&(self.optimizer.slots.len() as u32).to_le_bytes());
+        for s in &self.optimizer.slots {
+            put_str(&mut buf, &s.name);
+            put_f32s(&mut buf, &s.m);
+            put_f32s(&mut buf, &s.v);
+            put_f32s(&mut buf, &s.master);
+        }
+        debug_assert_eq!(buf.len(), len, "encoded_len disagrees with the encoder");
         buf
     }
 
-    /// Write the checkpoint to a file.
+    /// The exact byte length [`to_bytes`](TrainCheckpoint::to_bytes)
+    /// produces.
+    fn encoded_len(&self) -> usize {
+        let str_len = |s: &str| 4 + s.len();
+        let f32s_len = |d: &[f32]| 8 + 4 * d.len();
+        let params: usize = self
+            .params
+            .iter()
+            .map(|p| str_len(&p.name) + 4 + 8 * p.dims.len() + 1 + f32s_len(&p.data))
+            .sum();
+        let slots: usize = self
+            .optimizer
+            .slots
+            .iter()
+            .map(|s| str_len(&s.name) + f32s_len(&s.m) + f32s_len(&s.v) + f32s_len(&s.master))
+            .sum();
+        // Magic, version, five counters, scaler state and the param count;
+        // then the optimizer step and slot count.
+        4 + 4 + 5 * 8 + (4 + 4 + 8) + 4 + params + 8 + 4 + slots
+    }
+
+    /// Write the checkpoint to a file with one `write_all` of the encoded
+    /// bytes (see [`write_to`](TrainCheckpoint::write_to)).
     ///
     /// # Errors
     ///
@@ -193,9 +218,9 @@ impl TrainCheckpoint {
     /// Returns [`TrainError::Checkpoint`] on I/O failure or a malformed
     /// file.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, TrainError> {
-        let mut f = std::fs::File::open(path.as_ref())
-            .map_err(|e| TrainError::Checkpoint(format!("open: {e}")))?;
-        Self::read_from(&mut f)
+        let bytes = std::fs::read(path.as_ref())
+            .map_err(|e| TrainError::Checkpoint(format!("read: {e}")))?;
+        Self::read_from(&mut bytes.as_slice())
     }
 }
 
@@ -216,17 +241,16 @@ fn dtype_from_tag(tag: u8) -> Result<DType, TrainError> {
     }
 }
 
-fn write_str<W: Write>(w: &mut W, s: &str) -> std::io::Result<()> {
-    w.write_all(&(s.len() as u32).to_le_bytes())?;
-    w.write_all(s.as_bytes())
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn write_f32s<W: Write>(w: &mut W, data: &[f32]) -> std::io::Result<()> {
-    w.write_all(&(data.len() as u64).to_le_bytes())?;
+fn put_f32s(buf: &mut Vec<u8>, data: &[f32]) {
+    buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
     for &x in data {
-        w.write_all(&x.to_le_bytes())?;
+        buf.extend_from_slice(&x.to_le_bytes());
     }
-    Ok(())
 }
 
 fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), TrainError> {
@@ -375,9 +399,44 @@ mod tests {
         let path = dir.join("roundtrip.bsck");
         let ckpt = fixture();
         ckpt.save(&path).expect("save");
+        assert_eq!(std::fs::read(&path).expect("read back"), ckpt.to_bytes());
         let back = TrainCheckpoint::load(&path).expect("load");
         assert_eq!(ckpt, back);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A `Write` that counts the calls made on it.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_calls_scale_with_records_not_values() {
+        let mut ckpt = fixture();
+        ckpt.params.push(ParamRecord {
+            name: "emb.word.weight".into(),
+            dims: vec![100, 100],
+            dtype: DType::F32,
+            data: (0..10_000).map(|i| i as f32 * 0.5).collect(),
+        });
+        let mut w = CountingWriter::default();
+        ckpt.write_to(&mut w).expect("write");
+        assert!(w.calls < 100, "{} writer calls for a 10,000-value tensor", w.calls);
+        assert_eq!(w.bytes, ckpt.to_bytes());
     }
 
     mod fuzz {

@@ -11,7 +11,7 @@ use bertscope::memory_profile_json;
 use bertscope_check::check_memory;
 use bertscope_model::{checkpoint_segments, parameter_count, BertConfig, GraphOptions, Precision};
 use bertscope_sim::memory::{footprint, measured_to_model_ratio};
-use bertscope_tensor::{pool, MemoryProfile, Tracer};
+use bertscope_tensor::{alloc, pool, MemoryProfile, Tracer};
 use bertscope_train::{Bert, Lamb, SyntheticCorpus, TrainOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -161,4 +161,28 @@ fn traced_step_passes_the_m001_memory_lint() {
     assert!(profile.peak_by_phase.len() >= 3, "phases: {:?}", profile.peak_by_phase);
     let json = memory_profile_json(&profile);
     assert!(json.contains("\"peak_by_phase\":{\"fwd\":"));
+}
+
+#[test]
+fn a_step_does_not_keep_the_previous_steps_gradients_alive() {
+    let _g = lock();
+    let cfg = BertConfig::tiny();
+    let corpus = SyntheticCorpus::new(cfg.vocab);
+    let mut rng = StdRng::seed_from_u64(5);
+    let batch = corpus.generate_batch(&mut rng, &cfg);
+    let peaks: Vec<u64> = pool::with_threads(1, || {
+        let mut bert = Bert::new(cfg, TrainOptions::default(), 42);
+        let mut quiet = Tracer::disabled();
+        (0..3)
+            .map(|_| {
+                alloc::reset_peak();
+                bert.train_step(&mut quiet, &batch).expect("step");
+                alloc::stats().peak_bytes
+            })
+            .collect()
+    });
+    // Every step peaks at the first step's bytes: the gradients a step
+    // replaces are released before its forward pass, not after backward.
+    assert_eq!(peaks[1], peaks[0], "step peaks {peaks:?}");
+    assert_eq!(peaks[2], peaks[0], "step peaks {peaks:?}");
 }
