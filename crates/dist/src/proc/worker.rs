@@ -39,7 +39,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -769,18 +769,9 @@ fn run_worker(
     })
 }
 
-/// Distinguishes the tmp files of worker incarnations that share a
-/// process (thread backend). The tmp name must be unique per worker
-/// *incarnation*: around a restart, the dying generation's checkpoint rank
-/// can still be mid-write while its replacement reaches the same update,
-/// and a shared tmp path would let one incarnation rename the other's file
-/// away (a release-timing ENOENT). The rename target may be overwritten
-/// concurrently, but both incarnations produce the bit-identical
-/// checkpoint, so last-writer-wins is safe.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// Post-update duties: report progress; on the checkpointing rank, write
-/// the bit-exact checkpoint atomically (tmp + rename) and announce it.
+/// the bit-exact checkpoint atomically ([`TrainCheckpoint::save`]) and
+/// announce it once it is in place.
 fn on_update(
     cfg: &WorkerConfig,
     trainer: &mut Trainer<Lamb>,
@@ -792,14 +783,8 @@ fn on_update(
     send_ctrl(ctrl_w, &ControlMsg::Update { updates })?;
     if checkpoint_duty {
         let final_path = cfg.ckpt_dir.join(format!("step_{updates}.bsck"));
-        let tmp = cfg.ckpt_dir.join(format!(
-            ".step_{updates}.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
         let ckpt = trainer.checkpoint(bert).map_err(|e| DistError::Train(e.to_string()))?;
-        ckpt.save(&tmp).map_err(|e| DistError::Train(e.to_string()))?;
-        std::fs::rename(&tmp, &final_path)?;
+        ckpt.save(&final_path).map_err(|e| DistError::Train(e.to_string()))?;
         send_ctrl(
             ctrl_w,
             &ControlMsg::Checkpoint { updates, path: final_path.display().to_string() },

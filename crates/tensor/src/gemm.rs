@@ -11,12 +11,16 @@
 //! Accumulation is always performed in `f32` (matching the behaviour of GPU
 //! matrix cores, which accumulate half-precision products in single
 //! precision) over the full contraction depth in strictly ascending `k`
-//! order for every output element, on both the serial and the pooled path —
-//! results are therefore bit-identical at any thread count. The result is
-//! quantized to the left operand's logical [`DType`](crate::DType) at tile
-//! writeback, where a fused [`GemmEpilogue`] (bias / residual / scale+mask,
-//! plus the bias+GeLU pair of [`gemm_bias_gelu`]) is applied while the tile
-//! is still cache-hot.
+//! order for every output element, on both the serial and the pooled path.
+//! Each output element is one fused-multiply-add chain from +0.0,
+//! `acc = (alpha * a).mul_add(b, acc)`, followed by `out + acc` onto the
+//! zeroed or `beta`-scaled output and the epilogue's rounding chain; tile
+//! shape, packing, chunking and the thread count never enter the
+//! arithmetic, so results are bit-identical at any thread count and on any
+//! host. The result is quantized to the left operand's logical
+//! [`DType`](crate::DType) at tile writeback, where a fused
+//! [`GemmEpilogue`] (bias / residual / scale+mask, plus the bias+GeLU pair
+//! of [`gemm_bias_gelu`]) is applied while the tile is still cache-hot.
 
 use crate::alloc::Buffer;
 use crate::dtype::{bf16_bits_to_f32, f32_to_bf16_bits, f32_to_f16_bits, DType};
@@ -25,6 +29,7 @@ use crate::mathfn::gelu_scalar;
 use crate::pool;
 use crate::tensor::Tensor;
 use crate::Result;
+use std::ops::Range;
 
 /// Whether an operand is transposed, i.e. the `transA`/`transB` flags of the
 /// classic BLAS interface. The paper labels its GEMMs `(transposeA,
@@ -172,27 +177,6 @@ impl<'e> EpView<'e> {
             other => other,
         }
     }
-
-    /// Apply the fused tail to one accumulated output value at (`row`,
-    /// `col`) of the slice, rounding through `dt` between steps exactly as
-    /// the unfused kernel chain would. `BiasGelu` is handled by the caller
-    /// (it writes two outputs).
-    #[inline]
-    fn apply(self, dt: DType, v: f32, row: usize, col: usize, n: usize) -> f32 {
-        match self {
-            EpView::None | EpView::BiasGelu(_) => dt.quantize(v),
-            EpView::Bias(b) => dt.quantize(dt.quantize(v) + b[col]),
-            EpView::BiasResidual { bias, residual } => {
-                let x = dt.quantize(dt.quantize(v) + bias[col]);
-                dt.quantize(x + residual[row * n + col])
-            }
-            EpView::Scale(s) => dt.quantize(dt.quantize(v) * s),
-            EpView::ScaleMask { scale, mask } => {
-                let x = dt.quantize(dt.quantize(v) * scale);
-                dt.quantize(x + mask[row * n + col])
-            }
-        }
-    }
 }
 
 /// The element encoding of a packed panel.
@@ -227,20 +211,64 @@ impl PanelKind {
     }
 }
 
+// A and B panels share one layout (and one packer): 8 lanes per depth step.
+const _: () = assert!(MR == NR);
+
 /// A packed operand: [`MR`]-row (A) or [`NR`]-column (B) panels, k-major
 /// within each panel, zero-padded at ragged edges. Half-precision panels
 /// store raw 16-bit patterns, two per f32 slot, and are widened lane-wise
-/// inside the microkernel.
+/// inside the microkernel. An A pack holds only the panels of the row chunk
+/// that uses it.
 struct PanelBuf {
     buf: Buffer,
     k: usize,
     kind: PanelKind,
+    /// The panels held, by operand-wide panel index.
+    panels: Range<usize>,
 }
 
 impl PanelBuf {
+    /// Pack panels `panels` of an operand whose element at (`lane`, `kk`)
+    /// is `get(lane, kk)`; a lane is a row of A or a column of B, and
+    /// `get` returns 0 for lanes past the operand's edge.
+    fn pack(
+        kind: PanelKind,
+        k: usize,
+        panels: Range<usize>,
+        get: impl Fn(usize, usize) -> f32,
+    ) -> PanelBuf {
+        let slots = kind.panel_slots(k);
+        let mut buf = Buffer::zeroed(panels.len() * slots);
+        for (i, p) in panels.clone().enumerate() {
+            let dst = &mut buf[i * slots..(i + 1) * slots];
+            let lane0 = p * MR;
+            match kind {
+                PanelKind::F32 => {
+                    for kk in 0..k {
+                        for l in 0..MR {
+                            dst[kk * MR + l] = get(lane0 + l, kk);
+                        }
+                    }
+                }
+                PanelKind::F16 | PanelKind::Bf16 => {
+                    for kk in 0..k {
+                        for s in 0..MR / 2 {
+                            let lo = half_bits(kind, get(lane0 + 2 * s, kk));
+                            let hi = half_bits(kind, get(lane0 + 2 * s + 1, kk));
+                            dst[kk * MR / 2 + s] =
+                                f32::from_bits(u32::from(lo) | (u32::from(hi) << 16));
+                        }
+                    }
+                }
+            }
+        }
+        PanelBuf { buf, k, kind, panels }
+    }
+
     fn panel(&self, p: usize) -> &[f32] {
         let w = self.kind.panel_slots(self.k);
-        &self.buf[p * w..(p + 1) * w]
+        let i = p - self.panels.start;
+        &self.buf[i * w..(i + 1) * w]
     }
 }
 
@@ -252,104 +280,6 @@ fn half_bits(kind: PanelKind, v: f32) -> u16 {
         PanelKind::Bf16 => f32_to_bf16_bits(v),
         PanelKind::F32 => unreachable!("f32 panels store full words"),
     }
-}
-
-/// Pack `op(A)` (`m x k` logical) into [`MR`]-row panels: for each panel
-/// and each `kk`, the panel's `MR` row values are contiguous.
-fn pack_a(
-    x: &[f32],
-    stride: usize,
-    ta: Transpose,
-    m: usize,
-    k: usize,
-    kind: PanelKind,
-) -> PanelBuf {
-    let panels = m.div_ceil(MR);
-    let get = |i: usize, kk: usize| -> f32 {
-        if i >= m {
-            return 0.0;
-        }
-        match ta {
-            Transpose::No => x[i * stride + kk],
-            Transpose::Yes => x[kk * stride + i],
-        }
-    };
-    let mut buf = Buffer::zeroed(panels * kind.panel_slots(k));
-    match kind {
-        PanelKind::F32 => {
-            for p in 0..panels {
-                let base = p * k * MR;
-                for kk in 0..k {
-                    for r in 0..MR {
-                        buf[base + kk * MR + r] = get(p * MR + r, kk);
-                    }
-                }
-            }
-        }
-        PanelKind::F16 | PanelKind::Bf16 => {
-            for p in 0..panels {
-                let base = p * k * MR / 2;
-                for kk in 0..k {
-                    for s in 0..MR / 2 {
-                        let lo = half_bits(kind, get(p * MR + 2 * s, kk));
-                        let hi = half_bits(kind, get(p * MR + 2 * s + 1, kk));
-                        buf[base + kk * MR / 2 + s] =
-                            f32::from_bits(u32::from(lo) | (u32::from(hi) << 16));
-                    }
-                }
-            }
-        }
-    }
-    PanelBuf { buf, k, kind }
-}
-
-/// Pack `op(B)` (`k x n` logical) into [`NR`]-column panels: for each panel
-/// and each `kk`, the panel's `NR` column values are contiguous.
-fn pack_b(
-    x: &[f32],
-    stride: usize,
-    tb: Transpose,
-    n: usize,
-    k: usize,
-    kind: PanelKind,
-) -> PanelBuf {
-    let panels = n.div_ceil(NR);
-    let get = |kk: usize, j: usize| -> f32 {
-        if j >= n {
-            return 0.0;
-        }
-        match tb {
-            Transpose::No => x[kk * stride + j],
-            Transpose::Yes => x[j * stride + kk],
-        }
-    };
-    let mut buf = Buffer::zeroed(panels * kind.panel_slots(k));
-    match kind {
-        PanelKind::F32 => {
-            for q in 0..panels {
-                let base = q * k * NR;
-                for kk in 0..k {
-                    for c in 0..NR {
-                        buf[base + kk * NR + c] = get(kk, q * NR + c);
-                    }
-                }
-            }
-        }
-        PanelKind::F16 | PanelKind::Bf16 => {
-            for q in 0..panels {
-                let base = q * k * NR / 2;
-                for kk in 0..k {
-                    for s in 0..NR / 2 {
-                        let lo = half_bits(kind, get(kk, q * NR + 2 * s));
-                        let hi = half_bits(kind, get(kk, q * NR + 2 * s + 1));
-                        buf[base + kk * NR / 2 + s] =
-                            f32::from_bits(u32::from(lo) | (u32::from(hi) << 16));
-                    }
-                }
-            }
-        }
-    }
-    PanelBuf { buf, k, kind }
 }
 
 /// Instruction sets the microkernel can target, detected once per process.
@@ -380,7 +310,9 @@ fn isa() -> Isa {
 }
 
 /// AVX2+FMA microkernels: one 8-lane accumulator vector per tile row,
-/// broadcast-A x vector-B outer products over the full depth.
+/// broadcast-A x vector-B outer products over the full depth. Each A value
+/// reaches its FMA by a broadcast load, so the loop issues one FMA per
+/// accumulator and nothing else on the vector ports.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
@@ -388,22 +320,16 @@ mod simd {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    /// f32 panels: `a`/`b` point at `k * 8` floats each.
+    /// f32 panels: `a`/`b` point at `k * 8` floats each; `a` already holds
+    /// `alpha * A` (folded in at pack time).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn mk_f32(
-        alpha: f32,
-        a: *const f32,
-        b: *const f32,
-        k: usize,
-        acc: &mut [[f32; NR]; MR],
-    ) {
+    pub unsafe fn mk_f32(a: *const f32, b: *const f32, k: usize, acc: &mut [[f32; NR]; MR]) {
         let mut c = [_mm256_setzero_ps(); MR];
         for kk in 0..k {
             let bv = _mm256_loadu_ps(b.add(kk * NR));
             let ap = a.add(kk * MR);
             for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(alpha * *ap.add(r));
-                *cr = _mm256_fmadd_ps(av, bv, *cr);
+                *cr = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ap.add(r)), bv, *cr);
             }
         }
         for (row, cr) in acc.iter_mut().zip(&c) {
@@ -420,7 +346,9 @@ mod simd {
     }
 
     /// bf16 panels: `a`/`b` point at `k * 4` f32 slots (two bit patterns
-    /// per slot).
+    /// per slot). The widened A row is scaled by `alpha` in f32 — lane for
+    /// lane the product the scalar contract rounds — and each lane is
+    /// broadcast from a stack copy.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn mk_bf16(
         alpha: f32,
@@ -429,14 +357,17 @@ mod simd {
         k: usize,
         acc: &mut [[f32; NR]; MR],
     ) {
+        let alpha = _mm256_set1_ps(alpha);
         let mut c = [_mm256_setzero_ps(); MR];
         let mut arow = [0.0f32; MR];
         for kk in 0..k {
             let bv = widen_bf16(b.add(kk * NR / 2));
-            _mm256_storeu_ps(arow.as_mut_ptr(), widen_bf16(a.add(kk * MR / 2)));
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(alpha * arow[r]);
-                *cr = _mm256_fmadd_ps(av, bv, *cr);
+            _mm256_storeu_ps(
+                arow.as_mut_ptr(),
+                _mm256_mul_ps(alpha, widen_bf16(a.add(kk * MR / 2))),
+            );
+            for (av, cr) in arow.iter().zip(c.iter_mut()) {
+                *cr = _mm256_fmadd_ps(_mm256_broadcast_ss(av), bv, *cr);
             }
         }
         for (row, cr) in acc.iter_mut().zip(&c) {
@@ -444,7 +375,8 @@ mod simd {
         }
     }
 
-    /// f16 panels (requires F16C for the 8-lane half-to-single convert).
+    /// f16 panels, as [`mk_bf16`] (requires F16C for the 8-lane
+    /// half-to-single convert).
     #[target_feature(enable = "avx2,fma,f16c")]
     pub unsafe fn mk_f16(
         alpha: f32,
@@ -453,15 +385,15 @@ mod simd {
         k: usize,
         acc: &mut [[f32; NR]; MR],
     ) {
+        let alpha = _mm256_set1_ps(alpha);
         let mut c = [_mm256_setzero_ps(); MR];
         let mut arow = [0.0f32; MR];
         for kk in 0..k {
             let bv = _mm256_cvtph_ps(_mm_loadu_si128(b.add(kk * NR / 2).cast()));
             let av8 = _mm256_cvtph_ps(_mm_loadu_si128(a.add(kk * MR / 2).cast()));
-            _mm256_storeu_ps(arow.as_mut_ptr(), av8);
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(alpha * arow[r]);
-                *cr = _mm256_fmadd_ps(av, bv, *cr);
+            _mm256_storeu_ps(arow.as_mut_ptr(), _mm256_mul_ps(alpha, av8));
+            for (av, cr) in arow.iter().zip(c.iter_mut()) {
+                *cr = _mm256_fmadd_ps(_mm256_broadcast_ss(av), bv, *cr);
             }
         }
         for (row, cr) in acc.iter_mut().zip(&c) {
@@ -471,8 +403,10 @@ mod simd {
 }
 
 /// Portable microkernel: the same outer-product loop over fixed-width
-/// `[f32; 8]` arrays (auto-vectorizable), with identical per-element
-/// accumulation order to the SIMD variants.
+/// `[f32; 8]` arrays, one fused multiply-add per element and depth step
+/// (`f32::mul_add`, a single rounding), so it produces the SIMD kernels'
+/// bits on any host. Hosts without a hardware FMA pay a libm `fmaf` call
+/// per multiply-accumulate.
 mod portable {
     use super::{bf16_bits_to_f32, PanelKind, MR, NR};
     use crate::dtype::f16_bits_to_f32;
@@ -500,6 +434,7 @@ mod portable {
         }
     }
 
+    /// `alpha` scales half A panels; f32 A panels already hold it.
     pub fn mk(
         kind: PanelKind,
         alpha: f32,
@@ -511,11 +446,15 @@ mod portable {
         let mut c = [[0.0f32; NR]; MR];
         for kk in 0..k {
             let b8 = load8(b, kk, kind);
-            let a8 = load8(a, kk, kind);
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = alpha * a8[r];
-                for (x, bv) in cr.iter_mut().zip(&b8) {
-                    *x += av * bv;
+            let mut a8 = load8(a, kk, kind);
+            if kind != PanelKind::F32 {
+                for av in &mut a8 {
+                    *av *= alpha;
+                }
+            }
+            for (cr, &av) in c.iter_mut().zip(&a8) {
+                for (x, &bv) in cr.iter_mut().zip(&b8) {
+                    *x = av.mul_add(bv, *x);
                 }
             }
         }
@@ -525,6 +464,8 @@ mod portable {
 
 /// Compute one full-depth [`MR`]`x`[`NR`] register tile into `acc`,
 /// dispatching to the best microkernel for this host and panel encoding.
+/// `alpha` scales half A panels inside the kernel; f32 A panels carry it
+/// from [`Slice::pack_a`].
 #[inline]
 fn micro_tile(
     kind: PanelKind,
@@ -543,7 +484,7 @@ fn micro_tile(
         #[allow(unsafe_code)]
         match kind {
             PanelKind::F32 if is >= Isa::Avx2 => {
-                unsafe { simd::mk_f32(alpha, apan.as_ptr(), bpan.as_ptr(), k, acc) };
+                unsafe { simd::mk_f32(apan.as_ptr(), bpan.as_ptr(), k, acc) };
                 return;
             }
             PanelKind::Bf16 if is >= Isa::Avx2 => {
@@ -560,103 +501,229 @@ fn micro_tile(
     portable::mk(kind, alpha, apan, bpan, k, acc);
 }
 
-/// Compute the output rows `[row0, row0 + out.len() / n)` of one slice from
-/// packed panels, accumulating each tile over the full depth and applying
-/// `beta`-preloaded values, the epilogue, and output quantization at
-/// writeback. `act` receives the activated second output for the
-/// bias+GeLU epilogue.
-#[allow(clippy::too_many_arguments)]
-fn compute_rows(
-    alpha: f32,
-    apan: &PanelBuf,
-    bpan: &PanelBuf,
+/// Write one accumulated tile back into `out`: `out = q(out + acc)`, then
+/// the epilogue's rounding chain, with `q` rounding to the output dtype.
+/// The tile's first element sits at `at` in `out` and at `idx` in the
+/// slice's output (the index of output-shaped epilogue operands). The
+/// epilogue is matched per row, outside the element loops, so a full f32
+/// tile (constant `rows`/`cols`, identity `q`) writes back in vector form.
+#[inline(always)]
+fn write_tile<'e>(
+    ep: EpView<'e>,
+    q: impl Fn(f32) -> f32,
+    acc: &[[f32; NR]; MR],
+    (rows, cols): (usize, usize),
     out: &mut [f32],
     mut act: Option<&mut [f32]>,
-    row0: usize,
-    n: usize,
-    k: usize,
-    dt: DType,
-    ep: EpView<'_>,
+    (at, idx, j0, n): (usize, usize, usize, usize),
 ) {
-    debug_assert_eq!(row0 % MR, 0, "tasks own whole register-tile row panels");
-    let rows = out.len() / n;
-    let p0 = row0 / MR;
-    let p1 = (row0 + rows).div_ceil(MR);
-    let nq = n.div_ceil(NR);
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in p0..p1 {
-        let gr0 = p * MR;
-        let tile_rows = (row0 + rows - gr0).min(MR);
-        for q in 0..nq {
-            let j0 = q * NR;
-            let tile_cols = (n - j0).min(NR);
-            micro_tile(apan.kind, alpha, apan.panel(p), bpan.panel(q), k, &mut acc);
-            for (r, arow) in acc.iter().enumerate().take(tile_rows) {
-                let gi = gr0 + r;
-                let base = (gi - row0) * n + j0;
-                if let EpView::BiasGelu(bias) = ep {
-                    let act = act.as_deref_mut().expect("bias+gelu needs a second output");
-                    for (c, &av) in arow.iter().enumerate().take(tile_cols) {
-                        let pre = dt.quantize(dt.quantize(out[base + c] + av) + bias[j0 + c]);
-                        out[base + c] = pre;
-                        act[base + c] = dt.quantize(gelu_scalar(pre));
-                    }
-                } else {
-                    for (c, &av) in arow.iter().enumerate().take(tile_cols) {
-                        out[base + c] = ep.apply(dt, out[base + c] + av, gi, j0 + c, n);
-                    }
+    for (r, arow) in acc.iter().enumerate().take(rows) {
+        let o = &mut out[at + r * n..at + r * n + cols];
+        let a = &arow[..cols];
+        let side = |s: &'e [f32]| -> &'e [f32] { &s[idx + r * n..idx + r * n + cols] };
+        let cols_of = |s: &'e [f32]| -> &'e [f32] { &s[j0..j0 + cols] };
+        match ep {
+            EpView::None => {
+                for (o, &a) in o.iter_mut().zip(a) {
+                    *o = q(*o + a);
+                }
+            }
+            EpView::Bias(bias) => {
+                for ((o, &a), &b) in o.iter_mut().zip(a).zip(cols_of(bias)) {
+                    *o = q(q(*o + a) + b);
+                }
+            }
+            EpView::BiasResidual { bias, residual } => {
+                let it = o.iter_mut().zip(a).zip(cols_of(bias)).zip(side(residual));
+                for (((o, &a), &b), &x) in it {
+                    *o = q(q(q(*o + a) + b) + x);
+                }
+            }
+            EpView::Scale(s) => {
+                for (o, &a) in o.iter_mut().zip(a) {
+                    *o = q(q(*o + a) * s);
+                }
+            }
+            EpView::ScaleMask { scale, mask } => {
+                for ((o, &a), &x) in o.iter_mut().zip(a).zip(side(mask)) {
+                    *o = q(q(q(*o + a) * scale) + x);
+                }
+            }
+            EpView::BiasGelu(bias) => {
+                let act = act.as_deref_mut().expect("bias+gelu needs a second output");
+                let g = &mut act[at + r * n..at + r * n + cols];
+                for (((o, g), &a), &b) in o.iter_mut().zip(g).zip(a).zip(cols_of(bias)) {
+                    let pre = q(q(*o + a) + b);
+                    *o = pre;
+                    *g = q(gelu_scalar(pre));
                 }
             }
         }
     }
 }
 
-/// Pack both operands and run the microkernel over one 2-D slice,
-/// splitting row panels across the worker pool for large problems.
-#[allow(clippy::too_many_arguments)]
-fn gemm_into(
+/// One 2-D GEMM problem — a whole [`gemm`] call or one slice of a batched
+/// call: operands, flags, shape and the writeback rule.
+#[derive(Clone, Copy)]
+struct Slice<'s> {
     ta: Transpose,
     tb: Transpose,
     alpha: f32,
-    a: &[f32],
+    a: &'s [f32],
     a_stride: usize,
-    b: &[f32],
+    b: &'s [f32],
     b_stride: usize,
-    out: &mut [f32],
-    act: Option<&mut [f32]>,
     m: usize,
     n: usize,
     k: usize,
     kind: PanelKind,
     dt: DType,
-    ep: EpView<'_>,
-) {
-    let apan = pack_a(a, a_stride, ta, m, k, kind);
-    let bpan = pack_b(b, b_stride, tb, n, k, kind);
-    if m * n * k >= PARALLEL_THRESHOLD && m >= 2 {
-        let grain = row_grain(m, n, k);
-        if let Some(act) = act {
-            // Dual-output (bias+GeLU): split both outputs into matching
-            // row chunks and dispatch them as one task wave.
-            let apan = &apan;
-            let bpan = &bpan;
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-                Vec::with_capacity(m.div_ceil(grain));
-            for (ci, (oc, ac)) in
-                out.chunks_mut(grain * n).zip(act.chunks_mut(grain * n)).enumerate()
-            {
-                tasks.push(Box::new(move || {
-                    compute_rows(alpha, apan, bpan, oc, Some(ac), ci * grain, n, k, dt, ep);
-                }));
+    ep: EpView<'s>,
+}
+
+/// A pool task that borrows for `'t`.
+type Task<'t> = Box<dyn FnOnce() + Send + 't>;
+
+impl<'s> Slice<'s> {
+    /// The problem `alpha * op(a) * op(b)` of shape `m x n x k`, written
+    /// back in `a`'s dtype through `ep`. The row stride of `a`/`b` is
+    /// their last dimension; batched operands start at slice 0.
+    fn new(
+        ta: Transpose,
+        tb: Transpose,
+        alpha: f32,
+        a: &'s Tensor,
+        b: &'s Tensor,
+        (m, n, k): (usize, usize, usize),
+        ep: EpView<'s>,
+    ) -> Slice<'s> {
+        Slice {
+            ta,
+            tb,
+            alpha,
+            a: a.as_slice(),
+            a_stride: *a.dims().last().expect("gemm operands are 2-d or 3-d"),
+            b: b.as_slice(),
+            b_stride: *b.dims().last().expect("gemm operands are 2-d or 3-d"),
+            m,
+            n,
+            k,
+            kind: PanelKind::for_operands(a.dtype(), b.dtype()),
+            dt: a.dtype(),
+            ep,
+        }
+    }
+
+    /// Slice `i` of a batched call: operands advance by one `[rows, cols]`
+    /// matrix each, output-shaped epilogue operands by one output slice.
+    fn batch_slice(self, i: usize, a_span: usize, b_span: usize) -> Slice<'s> {
+        Slice {
+            a: &self.a[i * a_span..(i + 1) * a_span],
+            b: &self.b[i * b_span..(i + 1) * b_span],
+            ep: self.ep.slice(i, self.m, self.n),
+            ..self
+        }
+    }
+
+    /// Pack the row panels of `op(A)` covering `rows` (a chunk starting on
+    /// a panel boundary), with `alpha` folded into f32 panels: the panel
+    /// holds exactly the `alpha * a` product the kernel would otherwise
+    /// round per FMA. Half panels keep raw `a` — rounding `alpha * a` to
+    /// half would change the bits — and are scaled in the kernel.
+    fn pack_a(&self, rows: Range<usize>) -> PanelBuf {
+        let Slice { ta, alpha, a, a_stride, m, .. } = *self;
+        let fold = self.kind == PanelKind::F32;
+        PanelBuf::pack(self.kind, self.k, rows.start / MR..rows.end.div_ceil(MR), |i, kk| {
+            if i >= m {
+                return 0.0;
             }
+            let v = match ta {
+                Transpose::No => a[i * a_stride + kk],
+                Transpose::Yes => a[kk * a_stride + i],
+            };
+            if fold {
+                alpha * v
+            } else {
+                v
+            }
+        })
+    }
+
+    /// Pack all column panels of `op(B)`.
+    fn pack_b(&self) -> PanelBuf {
+        let Slice { tb, b, b_stride, n, .. } = *self;
+        PanelBuf::pack(self.kind, self.k, 0..n.div_ceil(NR), |j, kk| {
+            if j >= n {
+                return 0.0;
+            }
+            match tb {
+                Transpose::No => b[kk * b_stride + j],
+                Transpose::Yes => b[j * b_stride + kk],
+            }
+        })
+    }
+
+    /// Compute the output rows `[row0, row0 + out.len() / n)`: pack those
+    /// rows of A, accumulate each tile over the full depth against the
+    /// shared B panels, and write it back through the epilogue onto the
+    /// zeroed or `beta`-preloaded `out`. `act` receives the activated
+    /// second output of the bias+GeLU epilogue.
+    fn rows(&self, bpan: &PanelBuf, row0: usize, out: &mut [f32], mut act: Option<&mut [f32]>) {
+        debug_assert_eq!(row0 % MR, 0, "tasks own whole register-tile row panels");
+        let Slice { alpha, n, k, kind, dt, ep, .. } = *self;
+        let rows = out.len() / n;
+        let apan = self.pack_a(row0..row0 + rows);
+        let mut acc = [[0.0f32; NR]; MR];
+        for p in apan.panels.clone() {
+            let gr0 = p * MR;
+            let tile_rows = (row0 + rows - gr0).min(MR);
+            for q in bpan.panels.clone() {
+                let j0 = q * NR;
+                let tile_cols = (n - j0).min(NR);
+                micro_tile(kind, alpha, apan.panel(p), bpan.panel(q), k, &mut acc);
+                let place = ((gr0 - row0) * n + j0, gr0 * n + j0, j0, n);
+                let act = act.as_deref_mut();
+                if dt == DType::F32 && tile_rows == MR && tile_cols == NR {
+                    write_tile(ep, |v| v, &acc, (MR, NR), out, act, place);
+                } else {
+                    let round = |v| dt.quantize(v);
+                    write_tile(ep, round, &acc, (tile_rows, tile_cols), out, act, place);
+                }
+            }
+        }
+    }
+
+    /// Queue one task per `grain`-row chunk of this slice's output. Each
+    /// task packs its own A rows; all share the slice's packed B.
+    fn push_row_tasks<'t>(
+        &'t self,
+        bpan: &'t PanelBuf,
+        grain: usize,
+        out: &'t mut [f32],
+        act: Option<&'t mut [f32]>,
+        tasks: &mut Vec<Task<'t>>,
+    ) {
+        let n = self.n;
+        let mut acts = act.map(|a| a.chunks_mut(grain * n));
+        for (ci, oc) in out.chunks_mut(grain * n).enumerate() {
+            let ac = acts.as_mut().map(|it| it.next().expect("act is output-shaped"));
+            tasks.push(Box::new(move || self.rows(bpan, ci * grain, oc, ac)));
+        }
+    }
+
+    /// Run this slice into `out` (and `act`), splitting row chunks across
+    /// the worker pool for large problems.
+    fn run(&self, out: &mut [f32], act: Option<&mut [f32]>) {
+        let bpan = self.pack_b();
+        let (m, n, k) = (self.m, self.n, self.k);
+        if m * n * k >= PARALLEL_THRESHOLD && m >= 2 {
+            let grain = row_grain(m, n, k);
+            let mut tasks = Vec::with_capacity(m.div_ceil(grain));
+            self.push_row_tasks(&bpan, grain, out, act, &mut tasks);
             pool::run_tasks(tasks);
         } else {
-            pool::parallel_for_mut(out, grain * n, |offset, chunk| {
-                compute_rows(alpha, &apan, &bpan, chunk, None, offset / n, n, k, dt, ep);
-            });
+            self.rows(&bpan, 0, out, act);
         }
-    } else {
-        compute_rows(alpha, &apan, &bpan, out, act, 0, n, k, dt, ep);
     }
 }
 
@@ -743,27 +810,10 @@ pub fn gemm_ep(
             }
         }
     }
-    let dt = a.dtype();
-    let kind = PanelKind::for_operands(dt, b.dtype());
-    gemm_into(
-        ta,
-        tb,
-        alpha,
-        a.as_slice(),
-        a.dims()[1],
-        b.as_slice(),
-        b.dims()[1],
-        &mut out,
-        None,
-        m,
-        n,
-        ka,
-        kind,
-        dt,
-        view,
-    );
+    let op = Slice::new(ta, tb, alpha, a, b, (m, n, ka), view);
+    op.run(&mut out, None);
     let mut t = Tensor::from_buffer(out, &[m, n])?;
-    t.set_dtype_raw(dt);
+    t.set_dtype_raw(op.dt);
     Ok(t)
 }
 
@@ -806,25 +856,9 @@ pub fn gemm_bias_gelu(
     }
     let mut pre = Buffer::zeroed(m * n);
     let mut act = Buffer::zeroed(m * n);
-    let dt = a.dtype();
-    let kind = PanelKind::for_operands(dt, b.dtype());
-    gemm_into(
-        ta,
-        tb,
-        alpha,
-        a.as_slice(),
-        a.dims()[1],
-        b.as_slice(),
-        b.dims()[1],
-        &mut pre,
-        Some(&mut act),
-        m,
-        n,
-        ka,
-        kind,
-        dt,
-        EpView::BiasGelu(bias.as_slice()),
-    );
+    let op = Slice::new(ta, tb, alpha, a, b, (m, n, ka), EpView::BiasGelu(bias.as_slice()));
+    op.run(&mut pre, Some(&mut act));
+    let dt = op.dt;
     let mut pre = Tensor::from_buffer(pre, &[m, n])?;
     pre.set_dtype_raw(dt);
     let mut act = Tensor::from_buffer(act, &[m, n])?;
@@ -883,59 +917,42 @@ pub fn batched_gemm_ep(
         return Err(TensorError::shape("batched_gemm inner dimension", a.dims(), b.dims()));
     }
     let view = ep.validate(m, n, batch)?;
-    let a_stride = a.dims()[1] * a.dims()[2];
-    let b_stride = b.dims()[1] * b.dims()[2];
+    let (a_span, b_span) = (a.dims()[1] * a.dims()[2], b.dims()[1] * b.dims()[2]);
     let mut out = Buffer::zeroed(batch * m * n);
-    let dt = a.dtype();
-    let kind = PanelKind::for_operands(dt, b.dtype());
-    if batch * m * n * ka >= PARALLEL_THRESHOLD {
-        // Parallelize across batch x row-chunks: this is the `B*h`-wide
-        // attention shape of the paper (§3.2.2), where the batch dimension
-        // alone usually saturates the pool. Rows are split further only for
-        // small batches — a shape-only rule, so chunking (and bits) never
-        // depends on the thread count.
-        let grain = if batch >= BATCH_SLICE_PARALLEL { m } else { row_grain(m, n, ka) };
-        let a_sl = a.as_slice();
-        let b_sl = b.as_slice();
-        let (a_rs, b_rs) = (a.dims()[2], b.dims()[2]);
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-            Vec::with_capacity(batch * m.div_ceil(grain));
-        for (i, slice_out) in out.chunks_mut(m * n).enumerate() {
-            let a_s = &a_sl[i * a_stride..(i + 1) * a_stride];
-            let b_s = &b_sl[i * b_stride..(i + 1) * b_stride];
-            let ep_s = view.slice(i, m, n);
-            for (ci, chunk) in slice_out.chunks_mut(grain * n).enumerate() {
-                tasks.push(Box::new(move || {
-                    let apan = pack_a(a_s, a_rs, ta, m, ka, kind);
-                    let bpan = pack_b(b_s, b_rs, tb, n, ka, kind);
-                    compute_rows(alpha, &apan, &bpan, chunk, None, ci * grain, n, ka, dt, ep_s);
-                }));
-            }
+    let whole = Slice::new(ta, tb, alpha, a, b, (m, n, ka), view);
+    let slices: Vec<Slice<'_>> = (0..batch).map(|i| whole.batch_slice(i, a_span, b_span)).collect();
+    let parallel = batch * m * n * ka >= PARALLEL_THRESHOLD;
+    if parallel && batch >= BATCH_SLICE_PARALLEL {
+        // One task per slice: this is the `B*h`-wide attention shape of
+        // the paper (§3.2.2), where the batch dimension alone saturates the
+        // pool.
+        let tasks: Vec<Task<'_>> = slices
+            .iter()
+            .zip(out.chunks_mut(m * n))
+            .map(|(op, chunk)| -> Task<'_> {
+                Box::new(move || op.rows(&op.pack_b(), 0, chunk, None))
+            })
+            .collect();
+        pool::run_tasks(tasks);
+    } else if parallel {
+        // Small batches split rows too, in one task wave over batch x row
+        // chunks — a shape-only rule, so chunking (and bits) never depends
+        // on the thread count. Each slice's B is packed once and shared by
+        // its chunks; each chunk packs only its own A rows.
+        let bpans: Vec<PanelBuf> = slices.iter().map(Slice::pack_b).collect();
+        let grain = row_grain(m, n, ka);
+        let mut tasks = Vec::with_capacity(batch * m.div_ceil(grain));
+        for ((op, bpan), chunk) in slices.iter().zip(&bpans).zip(out.chunks_mut(m * n)) {
+            op.push_row_tasks(bpan, grain, chunk, None, &mut tasks);
         }
         pool::run_tasks(tasks);
     } else {
-        for (i, chunk) in out.chunks_mut(m * n).enumerate() {
-            gemm_into(
-                ta,
-                tb,
-                alpha,
-                &a.as_slice()[i * a_stride..(i + 1) * a_stride],
-                a.dims()[2],
-                &b.as_slice()[i * b_stride..(i + 1) * b_stride],
-                b.dims()[2],
-                chunk,
-                None,
-                m,
-                n,
-                ka,
-                kind,
-                dt,
-                view.slice(i, m, n),
-            );
+        for (op, chunk) in slices.iter().zip(out.chunks_mut(m * n)) {
+            op.run(chunk, None);
         }
     }
     let mut t = Tensor::from_buffer(out, &[batch, m, n])?;
-    t.set_dtype_raw(dt);
+    t.set_dtype_raw(whole.dt);
     Ok(t)
 }
 
@@ -1270,6 +1287,30 @@ mod tests {
     fn transpose_letters() {
         assert_eq!(Transpose::No.letter(), 'n');
         assert_eq!(Transpose::Yes.letter(), 't');
+    }
+
+    #[test]
+    fn portable_microkernel_matches_the_dispatched_one_bitwise() {
+        // On SIMD hosts this pins the portable fallback to the FMA kernels'
+        // bits; elsewhere both sides are the portable kernel.
+        let mut rng = StdRng::seed_from_u64(59);
+        let k = 37;
+        for kind in [PanelKind::F32, PanelKind::F16, PanelKind::Bf16] {
+            let mut vals: Vec<f32> = (0..2 * MR * k).map(|_| rng.gen_range(-4.0..4.0)).collect();
+            vals[3] = -0.0;
+            vals[90] = f32::INFINITY;
+            let a = PanelBuf::pack(kind, k, 0..1, |l, kk| vals[kk * MR + l]);
+            let b = PanelBuf::pack(kind, k, 0..1, |l, kk| vals[(k + kk) * MR + l]);
+            for alpha in [1.0, 0.5, -3.0] {
+                let (mut fast, mut slow) = ([[0.0f32; NR]; MR], [[0.0f32; NR]; MR]);
+                micro_tile(kind, alpha, a.panel(0), b.panel(0), k, &mut fast);
+                portable::mk(kind, alpha, a.panel(0), b.panel(0), k, &mut slow);
+                let bits = |t: &[[f32; NR]; MR]| {
+                    t.concat().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&fast), bits(&slow), "{kind:?} alpha={alpha}");
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::scaler::ScalerState;
 use bertscope_tensor::DType;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic identifying a bertscope checkpoint.
 pub const MAGIC: [u8; 4] = *b"BSCK";
@@ -199,16 +200,48 @@ impl TrainCheckpoint {
         4 + 4 + 5 * 8 + (4 + 4 + 8) + 4 + params + 8 + 4 + slots
     }
 
-    /// Write the checkpoint to a file with one `write_all` of the encoded
-    /// bytes (see [`write_to`](TrainCheckpoint::write_to)).
+    /// Write the checkpoint to `path` atomically: one `write_all` of the
+    /// encoded bytes (see [`write_to`](TrainCheckpoint::write_to)) into a
+    /// fresh temp file beside `path`, then a rename over `path`. A process
+    /// that dies mid-save leaves the previous checkpoint intact; readers
+    /// see the old file or the new one, never a truncated one. Nothing is
+    /// fsynced, so a power loss is not covered.
+    ///
+    /// The temp name is unique per call, not just per path: two savers in
+    /// one process (say, a dying worker incarnation and its replacement
+    /// reaching the same update) must not rename each other's half-written
+    /// file away. Concurrent savers of one path race only on the rename,
+    /// and last-writer-wins is safe when they save the same state.
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Checkpoint`] on any I/O failure.
+    /// Returns [`TrainError::Checkpoint`] on any I/O failure; the temp file
+    /// is removed on the way out.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), TrainError> {
-        let mut f = std::fs::File::create(path.as_ref())
-            .map_err(|e| TrainError::Checkpoint(format!("create: {e}")))?;
-        self.write_to(&mut f).map_err(|e| TrainError::Checkpoint(format!("write: {e}")))
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let path = path.as_ref();
+        let Some(name) = path.file_name() else {
+            return Err(TrainError::Checkpoint(format!("save: {} names no file", path.display())));
+        };
+        let tmp = path.with_file_name(format!(
+            ".{}.{}.{}.tmp",
+            name.to_string_lossy(),
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let saved = std::fs::File::create(&tmp)
+            .map_err(|e| TrainError::Checkpoint(format!("create: {e}")))
+            .and_then(|mut f| {
+                self.write_to(&mut f).map_err(|e| TrainError::Checkpoint(format!("write: {e}")))
+            })
+            .and_then(|()| {
+                std::fs::rename(&tmp, path)
+                    .map_err(|e| TrainError::Checkpoint(format!("rename: {e}")))
+            });
+        if saved.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        saved
     }
 
     /// Read a checkpoint back from a file.
@@ -403,6 +436,29 @@ mod tests {
         let back = TrainCheckpoint::load(&path).expect("load");
         assert_eq!(ckpt, back);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn saving_over_a_checkpoint_replaces_it_and_leaves_no_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("bertscope-ckpt-overwrite-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("step.bsck");
+        let first = fixture();
+        let mut second = fixture();
+        second.updates += 1;
+        second.params[0].data[0] = -0.0;
+        for ckpt in [&first, &second] {
+            ckpt.save(&path).expect("save");
+            assert_eq!(std::fs::read(&path).expect("read back"), ckpt.to_bytes());
+            assert_eq!(&TrainCheckpoint::load(&path).expect("load"), ckpt);
+        }
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        assert_eq!(names, ["step.bsck"], "a save left a temp file behind");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A `Write` that counts the calls made on it.
